@@ -14,8 +14,7 @@
 //! mapro flatten <prog.json>                       # denormalize to one table
 //! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend cube|dd|auto]
 //! mapro replay <prog.json> [--packets N --flows F --seed S --shards N]
-//!              [--switch ovs|eswitch|lagopus|noviflow]
-//!              [--engine interp|compiled|cached]
+//!              [--switch ovs|eswitch|lagopus|noviflow|cached]
 //! mapro export <prog.json> --format openflow|p4   # data-plane program text
 //! ```
 //!
@@ -50,6 +49,30 @@ use mapro_core::{display, export, Pipeline};
 use mapro_normalize::{flatten, normalize, JoinKind, NormalizeOpts, Target};
 use std::io::Write as _;
 use std::process::exit;
+
+/// A replay shard's switch constructor.
+type Factory = Box<dyn Fn() -> Box<dyn mapro_switch::Switch + Send> + Sync>;
+
+/// Compile `p` once up front so a model rejection is a one-line error
+/// (exit 1), then recompile per shard inside the factory (each modeled
+/// datapath thread owns its state).
+fn model_factory<S, E>(
+    kind: &str,
+    path: &str,
+    p: &Pipeline,
+    compile: fn(&Pipeline) -> Result<S, E>,
+) -> Factory
+where
+    S: mapro_switch::Switch + Send + 'static,
+    E: std::fmt::Display + std::fmt::Debug + 'static,
+{
+    if let Err(e) = compile(p) {
+        eprintln!("{kind} cannot model {path}: {e}");
+        exit(1)
+    }
+    let p = p.clone();
+    Box::new(move || Box::new(compile(&p).expect("checked above")))
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -435,87 +458,18 @@ fn main() {
                 .collect();
             let spec = mapro_packet::TraceSpec::uniform(flow_specs);
             let trace = mapro_packet::generate(&p.catalog, &spec, packets, seed);
-            // Execution tier: `interp` walks the `--switch` model's boxed
-            // classifiers per packet; `compiled` runs the specialized
-            // engine (ESwitch policy — same verdicts and modeled costs,
-            // Mpps-scale wall clock); `cached` fronts it with the
-            // cube-keyed megaflow cache. The tiers fix the ESwitch cost
-            // model, so `--switch` only combines with `--engine interp`.
-            let engine = flag("--engine").unwrap_or_else(|| "interp".to_owned());
-            if engine != "interp" && has("--switch") {
-                usage_error(format_args!(
-                    "--engine {engine} fixes the eswitch model; drop --switch or use --engine interp"
-                ));
-            }
-            let kind = match engine.as_str() {
-                "interp" => flag("--switch").unwrap_or_else(|| "ovs".to_owned()),
-                "compiled" | "cached" => engine.clone(),
+            // Switch model: every model but `ovs` runs the compiled engine
+            // under its template policy and cost model; `cached` fronts the
+            // eswitch model with the cube-keyed megaflow cache.
+            let kind = flag("--switch").unwrap_or_else(|| "ovs".to_owned());
+            let factory: Factory = match kind.as_str() {
+                "ovs" => model_factory(&kind, path, &p, mapro_switch::OvsSim::compile),
+                "eswitch" => model_factory(&kind, path, &p, mapro_switch::CompiledEngine::eswitch),
+                "lagopus" => model_factory(&kind, path, &p, mapro_switch::CompiledEngine::lagopus),
+                "noviflow" => model_factory(&kind, path, &p, mapro_switch::NoviflowSim::compile),
+                "cached" => model_factory(&kind, path, &p, mapro_switch::CachedEngine::eswitch),
                 other => usage_error(format_args!(
-                    "unknown engine {other:?} (interp|compiled|cached)"
-                )),
-            };
-            // Compile once up front so a model rejection is a clean error,
-            // then recompile per shard inside the factory (each modeled
-            // datapath thread owns its classifiers).
-            let factory: Box<dyn Fn() -> Box<dyn mapro_switch::Switch + Send> + Sync> = match kind
-                .as_str()
-            {
-                "ovs" => {
-                    let p = p.clone();
-                    Box::new(move || Box::new(mapro_switch::OvsSim::compile(&p)))
-                }
-                "eswitch" => {
-                    if let Err(e) = mapro_switch::EswitchSim::compile(&p) {
-                        eprintln!("eswitch cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::EswitchSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "lagopus" => {
-                    if let Err(e) = mapro_switch::LagopusSim::compile(&p) {
-                        eprintln!("lagopus cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::LagopusSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "noviflow" => {
-                    if let Err(e) = mapro_switch::NoviflowSim::compile(&p) {
-                        eprintln!("noviflow cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::NoviflowSim::compile(&p).expect("checked above"))
-                    })
-                }
-                "compiled" => {
-                    if let Err(e) = mapro_switch::CompiledEngine::eswitch(&p) {
-                        eprintln!("compiled tier cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::CompiledEngine::eswitch(&p).expect("checked above"))
-                    })
-                }
-                "cached" => {
-                    if let Err(e) = mapro_switch::CachedEngine::eswitch(&p) {
-                        eprintln!("cached tier cannot model {path}: {e}");
-                        exit(1)
-                    }
-                    let p = p.clone();
-                    Box::new(move || {
-                        Box::new(mapro_switch::CachedEngine::eswitch(&p).expect("checked above"))
-                    })
-                }
-                other => usage_error(format_args!(
-                    "unknown switch {other:?} (ovs|eswitch|lagopus|noviflow)"
+                    "unknown switch {other:?} (ovs|eswitch|lagopus|noviflow|cached)"
                 )),
             };
             let rep = mapro_switch::run_modeled_parallel(&*factory, &trace, shards);

@@ -153,7 +153,7 @@ fn main() {
         // parscale repeats every hot path at 4 pool sizes, symscale
         // repeats the equivalence workloads per engine, phases re-runs
         // the instrumented hot paths under tracing, and mpps wall-clocks
-        // three engines over million-flow traces; they are machine
+        // two engines over million-flow traces; they are machine
         // benchmarks, not paper artifacts, so `all` skips them.
         (all && !matches!(
             name,
@@ -700,7 +700,7 @@ fn main() {
     }
     if want("mpps") {
         println!(
-            "\n############ E20 — Mpps-scale replay: interp vs compiled vs cached (extension) ############"
+            "\n############ E20 — Mpps-scale replay: compiled vs cached (extension) ############"
         );
         let rep = mpps(&args.cfg, &[1_024, 65_536, 1_048_576]);
         if args.json {

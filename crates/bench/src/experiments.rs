@@ -9,14 +9,14 @@
 //! E15 = thread scaling, E16 = static analysis, E17 = symbolic vs
 //! enumerative equivalence, E18 = phase attribution from span traces,
 //! E19 = controller crash-recovery chaos sweep, E20 = Mpps-scale replay
-//! engine comparison (interpreter vs compiled tier vs megaflow cache).
+//! engine comparison (compiled tier vs megaflow cache).
 
 use mapro_core::{display, Pipeline};
 use mapro_normalize::JoinKind;
 use mapro_packet::generate;
 use mapro_switch::{
-    churn_sweep, run_modeled, ChurnPoint, ControlStall, EswitchSim, HwLatency, LagopusSim,
-    NoviflowSim, OvsSim, Switch,
+    churn_sweep, run_modeled, ChurnPoint, CompiledEngine, ControlStall, HwLatency, NoviflowSim,
+    OvsSim, Switch,
 };
 use mapro_workloads::{Gwlb, Sdx, Vlan, L3};
 use serde::Serialize;
@@ -109,7 +109,7 @@ pub fn table1(cfg: &BenchConfig) -> Vec<Table1Row> {
     for (repr_name, repr) in [("universal", &g.universal), ("goto", &goto)] {
         // OVS (with a warm-up pass so steady-state cache behaviour shows).
         {
-            let mut sim = OvsSim::compile(repr);
+            let mut sim = OvsSim::compile(repr).expect("compiles");
             let _ = run_modeled(&mut sim, &trace); // warm the megaflow cache
             let rep = run_modeled(&mut sim, &trace);
             rows.push(Table1Row {
@@ -122,7 +122,7 @@ pub fn table1(cfg: &BenchConfig) -> Vec<Table1Row> {
         }
         // ESwitch.
         {
-            let mut sim = EswitchSim::compile(repr).expect("compiles");
+            let mut sim = CompiledEngine::eswitch(repr).expect("compiles");
             let templates = sim
                 .templates()
                 .into_iter()
@@ -139,7 +139,7 @@ pub fn table1(cfg: &BenchConfig) -> Vec<Table1Row> {
         }
         // Lagopus.
         {
-            let mut sim = LagopusSim::compile(repr).expect("compiles");
+            let mut sim = CompiledEngine::lagopus(repr).expect("compiles");
             let rep = run_modeled(&mut sim, &trace);
             rows.push(Table1Row {
                 switch: "Lagopus".into(),
@@ -188,7 +188,7 @@ pub fn table1_joins(cfg: &BenchConfig) -> Vec<JoinRow> {
     let trace = generate(&g.universal.catalog, &g.trace_spec(), cfg.packets, cfg.seed);
     let mut rows = Vec::new();
     let mut add = |name: &str, p: &Pipeline| {
-        let mut sim = EswitchSim::compile(p).expect("compiles");
+        let mut sim = CompiledEngine::eswitch(p).expect("compiles");
         let templates = sim
             .templates()
             .into_iter()
@@ -629,7 +629,7 @@ pub fn eswitch_templates(cfg: &BenchConfig) -> Vec<TemplateRow> {
     let g = Gwlb::random(cfg.services, cfg.backends, cfg.seed);
     let mut rows = Vec::new();
     let mut add = |name: &str, p: &Pipeline| {
-        let sim = EswitchSim::compile(p).expect("compiles");
+        let sim = CompiledEngine::eswitch(p).expect("compiles");
         rows.push(TemplateRow {
             repr: name.into(),
             templates: sim
@@ -686,7 +686,7 @@ pub fn ovs_cache_sensitivity(cfg: &BenchConfig) -> Vec<CacheRow> {
                 cfg.packets.min(20_000),
                 cfg.seed,
             );
-            let mut sim = OvsSim::compile(&g.universal);
+            let mut sim = OvsSim::compile(&g.universal).expect("compiles");
             sim.cache_capacity = capacity;
             let rep = run_modeled(&mut sim, &trace);
             out.push(CacheRow {
@@ -726,8 +726,8 @@ pub fn scaling(backends: usize, ns: &[usize], packets: usize, seed: u64) -> Vec<
         let g = Gwlb::random(n, backends, seed);
         let goto = g.normalized(JoinKind::Goto).expect("decomposes");
         let trace = generate(&g.universal.catalog, &g.trace_spec(), packets, seed);
-        let mut uni = EswitchSim::compile(&g.universal).expect("compiles");
-        let mut dec = EswitchSim::compile(&goto).expect("compiles");
+        let mut uni = CompiledEngine::eswitch(&g.universal).expect("compiles");
+        let mut dec = CompiledEngine::eswitch(&goto).expect("compiles");
         let u = run_modeled(&mut uni, &trace).mpps;
         let d = run_modeled(&mut dec, &trace).mpps;
         out.push(ScalingRow {
@@ -1157,7 +1157,7 @@ pub fn parscale(cfg: &BenchConfig, threads: &[usize]) -> ParScaleReport {
             let (p, t) = (&g.universal, &trace);
             Box::new(move || {
                 let rep = mapro_switch::run_modeled_parallel(
-                    &|| Box::new(OvsSim::compile(p)) as Box<dyn Switch + Send>,
+                    &|| Box::new(OvsSim::compile(p).expect("compiles")) as Box<dyn Switch + Send>,
                     t,
                     8,
                 );
@@ -1232,7 +1232,7 @@ pub struct MppsRow {
     pub repr: String,
     /// Requested flow-population size.
     pub flows: usize,
-    /// Execution tier (`interp` / `compiled` / `cached`).
+    /// Execution tier (`compiled` / `cached`).
     pub engine: String,
     /// Flows that actually appear in the Zipf trace.
     pub distinct_flows: usize,
@@ -1265,9 +1265,9 @@ pub struct MppsReport {
     pub rows: Vec<MppsRow>,
 }
 
-/// Extension experiment E20: the compiled datapath tier and the
-/// cube-keyed megaflow cache against the interpreter, at flow populations
-/// up to the millions.
+/// Extension experiment E20: the compiled datapath tier against the
+/// cube-keyed megaflow cache in front of it, at flow populations up to
+/// the millions.
 ///
 /// The flow population cycles the (service, backend) pairs of the §5 GWLB
 /// workload and varies the low `ip_src` bits inside each backend prefix —
@@ -1275,10 +1275,10 @@ pub struct MppsReport {
 /// (the forwarding equivalence classes `mapro_sym` partitions the space
 /// into) stays fixed at a few hundred. That separation is the megaflow
 /// story: the cache's hit rate tracks cubes, not flows, so `cached`
-/// stays in the fast path at any flow count, while both per-packet
-/// engines pay the classifier walk. Verdict digests are asserted
-/// identical across all three engines per configuration — the sweep
-/// doubles as an engine-differential check.
+/// stays in the fast path at any flow count, while `compiled` pays the
+/// classifier walk per packet. Verdict digests are asserted identical
+/// across both engines per configuration — the sweep doubles as an
+/// engine-differential check.
 ///
 /// # Panics
 /// Panics if any engine's verdict digest or drop count diverges — that is
@@ -1335,14 +1335,9 @@ pub fn mpps(cfg: &BenchConfig, flow_counts: &[usize]) -> MppsReport {
             };
             let trace = generate(&repr.catalog, &spec, packets, cfg.seed);
             let engines: Vec<(&str, EngineFactory<'_>)> = vec![
-                ("interp", {
-                    Box::new(move || Box::new(EswitchSim::compile(repr).expect("gwlb compiles")))
-                }),
                 ("compiled", {
                     Box::new(move || {
-                        Box::new(
-                            mapro_switch::CompiledEngine::eswitch(repr).expect("gwlb compiles"),
-                        )
+                        Box::new(CompiledEngine::eswitch(repr).expect("gwlb compiles"))
                     })
                 }),
                 ("cached", {
@@ -1875,7 +1870,9 @@ pub fn phases(cfg: &BenchConfig) -> PhasesReport {
     });
     run("replay-gwlb", &mut || {
         let _ = mapro_switch::run_modeled_parallel(
-            &|| Box::new(OvsSim::compile(&g.universal)) as Box<dyn Switch + Send>,
+            &|| {
+                Box::new(OvsSim::compile(&g.universal).expect("compiles")) as Box<dyn Switch + Send>
+            },
             &replay_trace,
             4,
         );

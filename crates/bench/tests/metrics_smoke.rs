@@ -131,7 +131,7 @@ fn replay_cached_pre_registers_megaflow_and_compile_metrics() {
         .args([
             "replay",
             prog.to_str().unwrap(),
-            "--engine",
+            "--switch",
             "cached",
             "--packets",
             "2000",

@@ -1,13 +1,7 @@
-//! The compiled execution tier: a pipeline specialized into monomorphic
-//! classifier programs driven by a tight dispatch loop.
+//! The executor every switch model runs on: a pipeline specialized into
+//! monomorphic classifier programs driven by a tight dispatch loop.
 //!
-//! [`crate::Datapath`] interprets: every table visit clones cost math,
-//! rebuilds a scratch key, and calls a boxed classifier through a vtable
-//! that additionally ticks per-lookup observability counters. That is
-//! the right shape for *modeling* (the counters and templates are the
-//! experiment), but it makes the wall-clock replay numbers measure the
-//! interpreter, not the representation. [`CompiledEngine`] compiles the
-//! same pipeline down to data:
+//! [`CompiledEngine`] compiles a pipeline down to data:
 //!
 //! * one shared register file holding every attribute any table matches
 //!   (loaded once per packet; `SetField` writes that can never be
@@ -18,23 +12,23 @@
 //! * per entry a pre-resolved program: the winning `Output`, the register
 //!   stores, and the successor table index (`goto.or(next)` folded in).
 //!
-//! Verdicts, lookup counts and modeled costs are byte-identical to the
-//! interpreter under the same template policy and cost parameters (the
-//! per-visit cost is the same `CostParams::lookup_ns` of the same
-//! template stats, pre-evaluated at compile time; the classifier
-//! decisions agree because every template agrees with first-match
-//! semantics). Only wall-clock speed differs. Batched processing
+//! A switch model is a [`TemplatePolicy`] plus [`CostParams`]: the policy
+//! picks the `mapro-classifier` template each table would compile to on
+//! that switch, and the template's stats fix the modeled per-visit cost
+//! (`CostParams::lookup_ns`, pre-evaluated at compile time). Verdicts
+//! follow [`mapro_core::Pipeline::run`] — every template agrees with
+//! first-match semantics — which `tests/engine_differential.rs` checks
+//! packet by packet, together with the cost sum. Batched processing
 //! ([`Switch::process_batch`]) amortizes the remaining per-packet dyn
 //! dispatch over [`BATCH`]-packet chunks.
 
 use crate::cost::CostParams;
-use crate::datapath::{CompileError, ProcessOut, TemplatePolicy};
 use crate::Switch;
 use mapro_classifier::{
-    build_generic, build_specialized, table_shape, Classifier, TableShape, TableView,
+    build_generic, build_specialized, table_shape, Classifier, TableShape, TableView, TemplateKind,
 };
 use mapro_core::AttrId;
-use mapro_core::{ActionSem, AttrKind, MissPolicy, Packet, Pipeline, Value};
+use mapro_core::{ActionSem, AttrKind, MissPolicy, Packet, Pipeline, Table, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -43,6 +37,71 @@ use std::sync::Arc;
 /// harness when chunking traces). 128 keeps a chunk of keys and results
 /// comfortably inside L1/L2 while amortizing per-batch overheads.
 pub const BATCH: usize = 128;
+
+/// How a switch model chooses classifier templates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TemplatePolicy {
+    /// Pick the cheapest template the table's shape admits (ESwitch).
+    Specialize {
+        /// Fallback for general-shaped tables.
+        generic: TemplateKind,
+    },
+    /// Use one generic template for every table (Lagopus: TSS).
+    Uniform(TemplateKind),
+    /// Hardware TCAM everywhere.
+    Tcam,
+}
+
+/// Why a pipeline could not be compiled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileError {
+    /// The start table or a goto/next/fall target does not exist.
+    UnknownTable(String),
+    /// A goto or output parameter was not symbolic, or a set-field
+    /// parameter was not an integer.
+    BadActionParam {
+        /// Offending table.
+        table: String,
+    },
+    /// A match cell was symbolic.
+    BadMatchCell {
+        /// Offending table.
+        table: String,
+    },
+}
+
+impl fmt::Display for CompileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CompileError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
+            CompileError::BadActionParam { table } => {
+                write!(f, "table {table:?}: bad action parameter")
+            }
+            CompileError::BadMatchCell { table } => {
+                write!(f, "table {table:?}: symbolic match cell")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+/// Result of processing one packet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProcessOut {
+    /// Output port, if forwarded.
+    pub output: Option<Arc<str>>,
+    /// True if the packet was dropped (miss with drop policy).
+    pub dropped: bool,
+    /// Table lookups performed.
+    pub lookups: usize,
+    /// Modeled service time (occupancy) in ns.
+    pub service_ns: f64,
+    /// Modeled one-way latency in ns (before the reporting queue factor).
+    pub latency_ns: f64,
+    /// True if the packet took a slow path (megaflow cache miss).
+    pub slow_path: bool,
+}
 
 /// A table's monomorphic classifier over the engine's register file.
 enum Cls {
@@ -114,28 +173,33 @@ enum MissProg {
 }
 
 struct CTable {
+    name: String,
+    /// The template the switch model's policy picks for this table.
+    template: TemplateKind,
     cls: Cls,
     /// `CostParams::lookup_ns` of the policy's template stats,
-    /// pre-evaluated (the interpreter computes the same value per visit).
+    /// pre-evaluated.
     cost_ns: f64,
     entries: Vec<EntryProg>,
     miss: MissProg,
 }
 
-/// A pipeline compiled for Mpps-scale replay. Same observable results as
-/// [`crate::Datapath`] under the same policy and cost model.
+/// A pipeline compiled for one switch model: the single executor behind
+/// every model in this crate.
 pub struct CompiledEngine {
+    name: &'static str,
     tables: Vec<CTable>,
     start: usize,
     /// Attribute per register, load order.
     reg_attrs: Vec<AttrId>,
+    policy: TemplatePolicy,
     params: CostParams,
-    stages: usize,
     regs: Vec<u64>,
     key: Vec<u64>,
 }
 
-/// Position of `name` in the pipeline's table list.
+/// Position of `name` in the pipeline's table list — the resolver every
+/// model uses for start, goto, next and fall targets.
 fn table_index(p: &Pipeline, name: &str) -> Result<u32, CompileError> {
     p.tables
         .iter()
@@ -144,11 +208,173 @@ fn table_index(p: &Pipeline, name: &str) -> Result<u32, CompileError> {
         .ok_or_else(|| CompileError::UnknownTable(name.to_owned()))
 }
 
+/// Resolve `t`'s per-entry action programs and miss continuation against
+/// `p`. Register stores go through `reg_of`; targets it maps to `None`
+/// are unobservable and dropped.
+fn table_progs(
+    p: &Pipeline,
+    t: &Table,
+    reg_of: impl Fn(AttrId) -> Option<usize>,
+) -> Result<(Vec<EntryProg>, MissProg), CompileError> {
+    let table_next = match &t.next {
+        Some(n) => Some(table_index(p, n)?),
+        None => None,
+    };
+    let mut entries = Vec::with_capacity(t.len());
+    for e in &t.entries {
+        let mut prog = EntryProg {
+            sets: Vec::new(),
+            output: None,
+            next: table_next,
+        };
+        for (col, &attr) in t.action_attrs.iter().enumerate() {
+            let param = &e.actions[col];
+            if matches!(param, Value::Any) {
+                continue;
+            }
+            let sem = match &p.catalog.attr(attr).kind {
+                AttrKind::Action(s) => s,
+                _ => unreachable!("action column"),
+            };
+            match (sem, param) {
+                (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
+                (ActionSem::Goto, Value::Sym(s)) => prog.next = Some(table_index(p, s)?),
+                (ActionSem::SetField(target), Value::Int(v)) => {
+                    if let Some(r) = reg_of(*target) {
+                        prog.sets.push((r, *v));
+                    }
+                }
+                (ActionSem::Opaque, _) => {}
+                _ => {
+                    return Err(CompileError::BadActionParam {
+                        table: t.name.clone(),
+                    })
+                }
+            }
+        }
+        entries.push(prog);
+    }
+    let miss = match &t.miss {
+        MissPolicy::Drop => MissProg::Drop,
+        MissPolicy::Controller => MissProg::Controller,
+        MissPolicy::Fall(n) => MissProg::Fall(table_index(p, n)?),
+    };
+    Ok((entries, miss))
+}
+
+/// Check that `p` names only existing tables (start, goto, next, fall)
+/// and that every action parameter has the right kind, without building
+/// any classifier.
+pub(crate) fn resolve(p: &Pipeline) -> Result<(), CompileError> {
+    for t in &p.tables {
+        table_progs(p, t, |_| None)?;
+    }
+    table_index(p, &p.start).map(|_| ())
+}
+
+/// Compile one table of `p` over the register file `reg_attrs`.
+fn compile_table(
+    p: &Pipeline,
+    t: &Table,
+    reg_attrs: &[AttrId],
+    policy: TemplatePolicy,
+    params: &CostParams,
+) -> Result<CTable, CompileError> {
+    let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
+    let view = TableView::of(t, &p.catalog);
+    for row in &view.rows {
+        if row.iter().any(|v| matches!(v, Value::Sym(_))) {
+            return Err(CompileError::BadMatchCell {
+                table: t.name.clone(),
+            });
+        }
+    }
+    // The policy's real classifier is built once, solely for its template
+    // stats: they fix the modeled per-visit cost.
+    let stats = match policy {
+        TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
+        TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
+        TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
+            .expect("unbounded capacity")
+            .stats(),
+    };
+
+    // The monomorphic classifier depends only on the table shape: every
+    // template agrees with first-match semantics, so a hash probe
+    // (all-exact) or flat ternary scan (everything else) reproduces any
+    // policy's decisions.
+    let reg = |a: AttrId| reg_of(a).expect("matched attr has a register");
+    let cls = match table_shape(&view) {
+        TableShape::AllExact { cols } if cols.len() == 1 => {
+            let col = cols[0];
+            let mut map = HashMap::with_capacity(view.len());
+            for (i, row) in view.rows.iter().enumerate() {
+                let Value::Int(v) = row[col] else {
+                    unreachable!("all-exact shape guarantees Int cells")
+                };
+                // Duplicate keys: first (highest-priority) row wins.
+                map.entry(v).or_insert(i as u32);
+            }
+            Cls::Exact1 {
+                reg: reg(t.match_attrs[col]),
+                map,
+            }
+        }
+        TableShape::AllExact { cols } => {
+            let regs: Vec<usize> = cols.iter().map(|&c| reg(t.match_attrs[c])).collect();
+            let mut map = HashMap::with_capacity(view.len());
+            if cols.is_empty() {
+                // Active-column-free rows match every packet.
+                if !view.is_empty() {
+                    map.insert(Vec::new(), 0u32);
+                }
+            } else {
+                for (i, row) in view.rows.iter().enumerate() {
+                    let key: Vec<u64> = cols
+                        .iter()
+                        .map(|&c| match row[c] {
+                            Value::Int(v) => v,
+                            _ => unreachable!("all-exact shape guarantees Int cells"),
+                        })
+                        .collect();
+                    map.entry(key).or_insert(i as u32);
+                }
+            }
+            Cls::Exact { regs, map }
+        }
+        TableShape::SinglePrefix { .. } | TableShape::General => Cls::Scan {
+            regs: t.match_attrs.iter().map(|&a| reg(a)).collect(),
+            cells: view
+                .ternary_rows()
+                .expect("symbolic match cells rejected above"),
+            ncols: view.cols(),
+        },
+    };
+
+    let (entries, miss) = table_progs(p, t, reg_of)?;
+    Ok(CTable {
+        name: t.name.clone(),
+        template: stats.kind,
+        cls,
+        cost_ns: params.lookup_ns(&stats),
+        entries,
+        miss,
+    })
+}
+
 impl CompiledEngine {
-    /// Compile `p` under a template policy (for cost fidelity with the
-    /// interpreter running the same policy) and cost model. Compilation
+    /// Compile `p` under a template policy and cost model. Compilation
     /// time lands in the `switch.compile.ns` timer.
     pub fn compile(
+        p: &Pipeline,
+        policy: TemplatePolicy,
+        params: CostParams,
+    ) -> Result<CompiledEngine, CompileError> {
+        CompiledEngine::compile_named("compiled", p, policy, params)
+    }
+
+    fn compile_named(
+        name: &'static str,
         p: &Pipeline,
         policy: TemplatePolicy,
         params: CostParams,
@@ -158,7 +384,7 @@ impl CompiledEngine {
 
         // Register file: every attribute any table matches on, in first
         // appearance order. SetField targets outside this set can never
-        // influence a later lookup and are dropped below.
+        // influence a later lookup and are dropped.
         let mut reg_attrs: Vec<AttrId> = Vec::new();
         for t in &p.tables {
             for &a in &t.match_attrs {
@@ -167,167 +393,72 @@ impl CompiledEngine {
                 }
             }
         }
-        let reg_of = |a: AttrId| reg_attrs.iter().position(|&x| x == a);
-
-        let mut tables = Vec::with_capacity(p.tables.len());
-        for t in &p.tables {
-            let view = TableView::of(t, &p.catalog);
-            for row in &view.rows {
-                if row.iter().any(|v| matches!(v, Value::Sym(_))) {
-                    return Err(CompileError::BadMatchCell {
-                        table: t.name.clone(),
-                    });
-                }
-            }
-            // The policy's real classifier is built once, solely for its
-            // template stats: the modeled per-visit cost must be the very
-            // f64 the interpreter would add.
-            let stats = match policy {
-                TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
-                TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
-                TemplatePolicy::Tcam => mapro_classifier::TcamModel::build(&view, usize::MAX)
-                    .expect("unbounded capacity")
-                    .stats(),
-            };
-            let cost_ns = params.lookup_ns(&stats);
-
-            // The monomorphic classifier depends only on the table shape:
-            // every template agrees with first-match semantics, so a hash
-            // probe (all-exact) or flat ternary scan (everything else)
-            // reproduces any policy's decisions.
-            let cls = match table_shape(&view) {
-                TableShape::AllExact { cols } if cols.len() == 1 => {
-                    let col = cols[0];
-                    let reg = reg_of(t.match_attrs[col]).expect("matched attr has a register");
-                    let mut map = HashMap::with_capacity(view.len());
-                    for (i, row) in view.rows.iter().enumerate() {
-                        let Value::Int(v) = row[col] else {
-                            unreachable!("all-exact shape guarantees Int cells")
-                        };
-                        // Duplicate keys: first (highest-priority) row wins.
-                        map.entry(v).or_insert(i as u32);
-                    }
-                    Cls::Exact1 { reg, map }
-                }
-                TableShape::AllExact { cols } => {
-                    let regs: Vec<usize> = cols
-                        .iter()
-                        .map(|&c| reg_of(t.match_attrs[c]).expect("matched attr has a register"))
-                        .collect();
-                    let mut map = HashMap::with_capacity(view.len());
-                    if cols.is_empty() {
-                        // Active-column-free rows match every packet.
-                        if !view.is_empty() {
-                            map.insert(Vec::new(), 0u32);
-                        }
-                    } else {
-                        for (i, row) in view.rows.iter().enumerate() {
-                            let key: Vec<u64> = cols
-                                .iter()
-                                .map(|&c| match row[c] {
-                                    Value::Int(v) => v,
-                                    _ => unreachable!("all-exact shape guarantees Int cells"),
-                                })
-                                .collect();
-                            map.entry(key).or_insert(i as u32);
-                        }
-                    }
-                    Cls::Exact { regs, map }
-                }
-                TableShape::SinglePrefix { .. } | TableShape::General => {
-                    let regs: Vec<usize> = t
-                        .match_attrs
-                        .iter()
-                        .map(|&a| reg_of(a).expect("matched attr has a register"))
-                        .collect();
-                    let cells = view
-                        .ternary_rows()
-                        .expect("symbolic match cells rejected above");
-                    Cls::Scan {
-                        regs,
-                        cells,
-                        ncols: view.cols(),
-                    }
-                }
-            };
-
-            let table_next = match &t.next {
-                Some(n) => Some(table_index(p, n)?),
-                None => None,
-            };
-            let mut entries = Vec::with_capacity(t.len());
-            for e in &t.entries {
-                let mut prog = EntryProg {
-                    sets: Vec::new(),
-                    output: None,
-                    next: table_next,
-                };
-                for (col, &attr) in t.action_attrs.iter().enumerate() {
-                    let param = &e.actions[col];
-                    if matches!(param, Value::Any) {
-                        continue;
-                    }
-                    let sem = match &p.catalog.attr(attr).kind {
-                        AttrKind::Action(s) => s,
-                        _ => unreachable!("action column"),
-                    };
-                    match (sem, param) {
-                        (ActionSem::Output, Value::Sym(s)) => prog.output = Some(s.clone()),
-                        (ActionSem::Goto, Value::Sym(s)) => {
-                            prog.next = Some(table_index(p, s)?);
-                        }
-                        (ActionSem::SetField(target), Value::Int(v)) => {
-                            if let Some(r) = reg_of(*target) {
-                                prog.sets.push((r, *v));
-                            }
-                        }
-                        (ActionSem::Opaque, _) => {}
-                        _ => {
-                            return Err(CompileError::BadActionParam {
-                                table: t.name.clone(),
-                            })
-                        }
-                    }
-                }
-                entries.push(prog);
-            }
-            let miss = match &t.miss {
-                MissPolicy::Drop => MissProg::Drop,
-                MissPolicy::Controller => MissProg::Controller,
-                MissPolicy::Fall(n) => MissProg::Fall(table_index(p, n)?),
-            };
-            tables.push(CTable {
-                cls,
-                cost_ns,
-                entries,
-                miss,
-            });
-        }
+        let tables = p
+            .tables
+            .iter()
+            .map(|t| compile_table(p, t, &reg_attrs, policy, &params))
+            .collect::<Result<Vec<_>, _>>()?;
         let start = table_index(p, &p.start)? as usize;
         let nregs = reg_attrs.len();
-        let mut engine = CompiledEngine {
+        Ok(CompiledEngine {
+            name,
             tables,
             start,
             reg_attrs,
+            policy,
             params,
-            stages: 0,
             regs: vec![0; nregs],
             key: Vec::new(),
-        };
-        engine.stages = engine.max_stages();
-        Ok(engine)
+        })
     }
 
-    /// Compile with the ESwitch policy and cost model — the compiled twin
-    /// of [`crate::EswitchSim`], byte-identical in every `ProcessOut`.
+    /// The ESwitch model: per-table template specialization. The
+    /// universal GWLB table (prefix + exact columns together) only fits
+    /// the slow linear wildcard template; the goto-decomposed pipeline
+    /// compiles to an exact-match stage plus tiny LPM stages, hence the
+    /// paper's >50% throughput gain and halved latency.
     pub fn eswitch(p: &Pipeline) -> Result<CompiledEngine, CompileError> {
-        CompiledEngine::compile(
+        CompiledEngine::compile_named(
+            "eswitch",
             p,
             TemplatePolicy::Specialize {
-                generic: mapro_classifier::TemplateKind::Linear,
+                generic: TemplateKind::Linear,
             },
             CostParams::eswitch(),
         )
+    }
+
+    /// The Lagopus model: uniform tuple-space tables whose per-packet
+    /// cost is dominated by fixed I/O overhead — representation-agnostic,
+    /// low rate.
+    pub fn lagopus(p: &Pipeline) -> Result<CompiledEngine, CompileError> {
+        CompiledEngine::compile_named(
+            "lagopus",
+            p,
+            TemplatePolicy::Uniform(TemplateKind::Tss),
+            CostParams::lagopus(),
+        )
+    }
+
+    /// Recompile the table `name` after its entries changed, reusing every
+    /// other table. `p` must be the pipeline this engine was compiled
+    /// from modulo entry edits: table order and match columns fix the
+    /// compiled table indices and the register file, so they may not
+    /// change.
+    pub fn recompile_table(&mut self, p: &Pipeline, name: &str) -> Result<(), CompileError> {
+        mapro_obs::counter!("switch.compiled.table_recompiles").inc();
+        let i = table_index(p, name)? as usize;
+        self.tables[i] =
+            compile_table(p, &p.tables[i], &self.reg_attrs, self.policy, &self.params)?;
+        Ok(())
+    }
+
+    /// The template each table compiles to under this model's policy.
+    pub fn templates(&self) -> Vec<(String, TemplateKind)> {
+        self.tables
+            .iter()
+            .map(|t| (t.name.clone(), t.template))
+            .collect()
     }
 
     /// Cost parameters in use.
@@ -335,34 +466,17 @@ impl CompiledEngine {
         &self.params
     }
 
-    /// Longest start-to-end chain (same walk as `Datapath::max_stages`).
-    fn max_stages(&self) -> usize {
-        fn depth(tables: &[CTable], i: usize, seen: &mut Vec<bool>) -> usize {
-            if seen[i] {
-                return 0;
-            }
-            seen[i] = true;
-            let mut best = 0usize;
-            if let MissProg::Fall(n) = tables[i].miss {
-                best = best.max(depth(tables, n as usize, seen));
-            }
-            for e in &tables[i].entries {
-                if let Some(n) = e.next {
-                    best = best.max(depth(tables, n as usize, seen));
-                }
-            }
-            seen[i] = false;
-            1 + best
-        }
-        if self.tables.is_empty() {
-            return 0;
-        }
-        let mut seen = vec![false; self.tables.len()];
-        depth(&self.tables, self.start, &mut seen)
+    /// Address of each table's entry programs, in table order. Only for
+    /// tests that assert per-table recompiles reuse untouched tables.
+    #[cfg(test)]
+    pub(crate) fn table_addrs(&self) -> Vec<usize> {
+        self.tables
+            .iter()
+            .map(|t| t.entries.as_ptr() as usize)
+            .collect()
     }
 
-    /// The dispatch loop: a faithful transcription of
-    /// `Datapath::process`, over registers instead of a cloned packet.
+    /// The dispatch loop, over registers instead of a cloned packet.
     #[inline]
     fn run_one(&mut self, pkt: &Packet) -> ProcessOut {
         for (i, &a) in self.reg_attrs.iter().enumerate() {
@@ -382,7 +496,7 @@ impl CompiledEngine {
         while let Some(ti) = cur {
             steps += 1;
             if steps > limit {
-                break; // cycle guard, mirroring the interpreter
+                break; // cycle guard
             }
             let t = &self.tables[ti];
             out.lookups += 1;
@@ -415,7 +529,7 @@ impl CompiledEngine {
 
 impl Switch for CompiledEngine {
     fn name(&self) -> &'static str {
-        "compiled"
+        self.name
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
@@ -434,16 +548,13 @@ impl Switch for CompiledEngine {
     fn queue_factor(&self) -> f64 {
         self.params.queue_factor
     }
-
-    fn stages(&self) -> usize {
-        self.stages
-    }
 }
 
 impl fmt::Debug for CompiledEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledEngine")
-            .field("tables", &self.tables.len())
+            .field("name", &self.name)
+            .field("tables", &self.templates())
             .field("regs", &self.reg_attrs.len())
             .field("start", &self.start)
             .finish()
@@ -453,9 +564,7 @@ impl fmt::Debug for CompiledEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datapath::Datapath;
-    use mapro_classifier::TemplateKind;
-    use mapro_core::{ActionSem, Catalog, Table};
+    use mapro_core::{ActionSem, Catalog};
 
     fn two_stage() -> Pipeline {
         let mut c = Catalog::new();
@@ -481,32 +590,37 @@ mod tests {
         Pipeline::new(c, vec![t0, t1], "t0")
     }
 
-    /// Every field of ProcessOut must match the interpreter under the
-    /// same policy — including the accumulated f64 costs, bit for bit.
     #[test]
-    fn byte_identical_to_interpreter() {
+    fn specialization_templates_visible() {
         let p = two_stage();
-        for policy in [
-            TemplatePolicy::Specialize {
-                generic: TemplateKind::Linear,
-            },
-            TemplatePolicy::Uniform(TemplateKind::Tss),
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            TemplatePolicy::Tcam,
-        ] {
-            let mut dp = Datapath::compile(&p, policy, CostParams::eswitch()).unwrap();
-            let mut ce = CompiledEngine::compile(&p, policy, CostParams::eswitch()).unwrap();
-            for (dst, src) in [(1u64, 0u64), (1, u32::MAX as u64), (2, 5), (3, 5)] {
-                let pkt = Packet::from_fields(&p.catalog, &[("dst", dst), ("src", src)]);
-                let want = dp.process(&pkt);
-                let got = ce.process(&pkt);
-                assert_eq!(got, want, "{policy:?} dst={dst} src={src}");
-            }
-        }
+        let ce = CompiledEngine::eswitch(&p).unwrap();
+        let t: Vec<_> = ce.templates().into_iter().map(|(_, k)| k).collect();
+        // t0: single exact column → Exact; t1: meta exact + prefix → General.
+        assert_eq!(t, [TemplateKind::Exact, TemplateKind::Linear]);
+        let lagopus = CompiledEngine::lagopus(&p).unwrap();
+        assert!(lagopus
+            .templates()
+            .iter()
+            .all(|(_, k)| *k == TemplateKind::Tss));
     }
 
     #[test]
-    fn fall_and_controller_miss_policies_agree() {
+    fn costs_accumulate_per_stage() {
+        let p = two_stage();
+        let mut ce = CompiledEngine::compile(
+            &p,
+            TemplatePolicy::Uniform(TemplateKind::Linear),
+            CostParams::eswitch(),
+        )
+        .unwrap();
+        let pkt = Packet::from_fields(&p.catalog, &[("dst", 1), ("src", 0)]);
+        let r = ce.process(&pkt);
+        assert_eq!(r.lookups, 2);
+        assert!(r.service_ns > CostParams::eswitch().per_packet_ns);
+    }
+
+    #[test]
+    fn fall_and_controller_miss_policies() {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let out = c.action("out", ActionSem::Output);
@@ -517,21 +631,14 @@ mod tests {
         t1.row(vec![Value::Int(2)], vec![Value::sym("slow")]);
         t1.miss = MissPolicy::Controller;
         let p = Pipeline::new(c, vec![t0, t1], "t0");
-        let mut dp = Datapath::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        let mut ce = CompiledEngine::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
+        let mut ce = CompiledEngine::eswitch(&p).unwrap();
         for f in 0..4u64 {
             let pkt = Packet::from_fields(&p.catalog, &[("f", f)]);
-            assert_eq!(ce.process(&pkt), dp.process(&pkt), "f={f}");
+            let want = p.run(&pkt).unwrap();
+            let got = ce.process(&pkt);
+            assert_eq!(got.output, want.output, "f={f}");
+            assert_eq!(got.dropped, want.dropped, "f={f}");
+            assert_eq!(got.lookups, want.lookups, "f={f}");
         }
     }
 
@@ -550,31 +657,40 @@ mod tests {
     }
 
     #[test]
-    fn cycle_guard_matches_interpreter() {
+    fn cycle_guard_bounds_the_walk() {
         let mut c = Catalog::new();
         let f = c.field("f", 4);
         let goto = c.action("goto", ActionSem::Goto);
         let mut t0 = Table::new("t0", vec![f], vec![goto]);
         t0.row(vec![Value::Any], vec![Value::sym("t0")]);
         let p = Pipeline::single(c, t0);
-        let mut dp = Datapath::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        let mut ce = CompiledEngine::compile(
-            &p,
-            TemplatePolicy::Uniform(TemplateKind::Linear),
-            CostParams::eswitch(),
-        )
-        .unwrap();
-        let pkt = Packet::from_fields(&p.catalog, &[("f", 1)]);
-        assert_eq!(ce.process(&pkt), dp.process(&pkt));
+        let mut ce = CompiledEngine::eswitch(&p).unwrap();
+        let r = ce.process(&Packet::from_fields(&p.catalog, &[("f", 1)]));
+        // `2 × tables + 8` visits: the budget past which the reference
+        // semantics reports a goto cycle.
+        assert_eq!(r.lookups, 10);
+        assert!(!r.dropped && r.output.is_none());
     }
 
     #[test]
-    fn bad_programs_rejected_like_interpreter() {
+    fn recompile_table_matches_fresh_compile() {
+        let mut p = two_stage();
+        let mut ce = CompiledEngine::eswitch(&p).unwrap();
+        p.tables[1].entries[0].actions[0] = Value::sym("z");
+        ce.recompile_table(&p, "t1").unwrap();
+        let mut fresh = CompiledEngine::eswitch(&p).unwrap();
+        for (dst, src) in [(1u64, 0u64), (1, u32::MAX as u64), (2, 5), (3, 5)] {
+            let pkt = Packet::from_fields(&p.catalog, &[("dst", dst), ("src", src)]);
+            assert_eq!(ce.process(&pkt), fresh.process(&pkt));
+        }
+        assert!(matches!(
+            ce.recompile_table(&p, "nope"),
+            Err(CompileError::UnknownTable(_))
+        ));
+    }
+
+    #[test]
+    fn bad_programs_rejected() {
         let mut c = Catalog::new();
         let f = c.field("f", 8);
         let g = c.action("g", ActionSem::Goto);
@@ -585,6 +701,7 @@ mod tests {
             CompiledEngine::eswitch(&p),
             Err(CompileError::UnknownTable(_))
         ));
+        assert!(matches!(resolve(&p), Err(CompileError::UnknownTable(_))));
 
         let mut c = Catalog::new();
         let f = c.field("f", 8);
@@ -595,5 +712,16 @@ mod tests {
             CompiledEngine::eswitch(&p),
             Err(CompileError::BadMatchCell { .. })
         ));
+
+        let mut c = Catalog::new();
+        let f = c.field("f", 8);
+        let t = Table::new("t", vec![f], vec![]);
+        let mut p = Pipeline::single(c, t);
+        p.start = "nosuch".into();
+        assert!(matches!(
+            CompiledEngine::eswitch(&p),
+            Err(CompileError::UnknownTable(_))
+        ));
+        assert!(matches!(resolve(&p), Err(CompileError::UnknownTable(_))));
     }
 }

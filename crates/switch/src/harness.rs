@@ -303,7 +303,7 @@ pub fn run_wallclock(switch: &mut dyn Switch, trace: &Trace, repeats: usize) -> 
 /// in shard order). Independent of the executing thread count by the same
 /// ordered-reduction argument; `workers = 1` digests the plain arrival
 /// order. Engine equivalence checks compare this across
-/// interp/compiled/cached.
+/// engines and switch models.
 pub fn replay_digest(
     factory: &(dyn Fn() -> Box<dyn Switch + Send> + Sync),
     trace: &Trace,
@@ -346,7 +346,7 @@ pub fn replay_digest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sims::EswitchSim;
+    use crate::compile::CompiledEngine;
     use mapro_core::{ActionSem, Catalog, Pipeline, Table, Value};
     use mapro_packet::{generate, FlowSpec, TraceSpec};
 
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn modeled_run_reports_consistent_numbers() {
         let (p, trace) = setup();
-        let mut sim = EswitchSim::compile(&p).unwrap();
+        let mut sim = CompiledEngine::eswitch(&p).unwrap();
         let r = run_modeled(&mut sim, &trace);
         assert_eq!(r.packets, 2000);
         assert!(r.dropped > 0 && r.dropped < 2000);
@@ -385,8 +385,8 @@ mod tests {
     #[test]
     fn modeled_run_deterministic() {
         let (p, trace) = setup();
-        let mut a = EswitchSim::compile(&p).unwrap();
-        let mut b = EswitchSim::compile(&p).unwrap();
+        let mut a = CompiledEngine::eswitch(&p).unwrap();
+        let mut b = CompiledEngine::eswitch(&p).unwrap();
         assert_eq!(run_modeled(&mut a, &trace), run_modeled(&mut b, &trace));
     }
 
@@ -394,9 +394,9 @@ mod tests {
     fn parallel_replay_scales_and_agrees() {
         let (p, trace) = setup();
         let factory =
-            || -> Box<dyn crate::Switch + Send> { Box::new(EswitchSim::compile(&p).unwrap()) };
+            || -> Box<dyn crate::Switch + Send> { Box::new(CompiledEngine::eswitch(&p).unwrap()) };
         let serial = {
-            let mut sim = EswitchSim::compile(&p).unwrap();
+            let mut sim = CompiledEngine::eswitch(&p).unwrap();
             run_modeled(&mut sim, &trace)
         };
         let par = run_modeled_parallel(&factory, &trace, 4);
@@ -413,9 +413,10 @@ mod tests {
     fn parallel_ovs_keeps_per_core_caches_correct() {
         use crate::ovs::OvsSim;
         let (p, trace) = setup();
-        let factory = || -> Box<dyn crate::Switch + Send> { Box::new(OvsSim::compile(&p)) };
+        let factory =
+            || -> Box<dyn crate::Switch + Send> { Box::new(OvsSim::compile(&p).unwrap()) };
         let par = run_modeled_parallel(&factory, &trace, 3);
-        let mut serial_sim = OvsSim::compile(&p);
+        let mut serial_sim = OvsSim::compile(&p).unwrap();
         let serial = run_modeled(&mut serial_sim, &trace);
         // Same verdicts (drop counts) regardless of sharding; more slow-path
         // hits are possible (each core warms its own cache) but never fewer.
@@ -462,7 +463,7 @@ mod tests {
     #[test]
     fn wallclock_positive() {
         let (p, trace) = setup();
-        let mut sim = EswitchSim::compile(&p).unwrap();
+        let mut sim = CompiledEngine::eswitch(&p).unwrap();
         let mpps = run_wallclock(&mut sim, &trace, 2);
         assert!(mpps > 0.0);
     }

@@ -4,12 +4,17 @@
 //! a NoviFlow 2128. This crate is the substitute testbed (see DESIGN.md
 //! §2 for the substitution argument):
 //!
-//! * [`datapath`] — the generic compiled-pipeline executor over real
-//!   classifier data structures with per-lookup cost accounting.
-//! * [`sims`] — [`EswitchSim`] (template specialization), [`LagopusSim`]
-//!   (uniform TSS), [`NoviflowSim`] (TCAM line rate + per-stage latency).
+//! * [`compile`] — [`CompiledEngine`], the one executor every model runs
+//!   on: a switch model is a [`TemplatePolicy`] (which classifier template
+//!   each table compiles to) plus [`CostParams`]. ESwitch is
+//!   [`CompiledEngine::eswitch`] (template specialization), Lagopus is
+//!   [`CompiledEngine::lagopus`] (uniform TSS).
+//! * [`sims`] — [`NoviflowSim`]: the engine under TCAM templates plus
+//!   line-rate service and per-stage hardware latency.
 //! * [`ovs`] — [`OvsSim`]: slow path + megaflow cache (OVS's explicit
 //!   denormalization).
+//! * [`megaflow`] — [`CachedEngine`]: the compiled engine fronted by a
+//!   cube-keyed megaflow cache.
 //! * [`harness`] — trace replay producing Table-1-style Mpps / latency
 //!   quartiles, modeled (deterministic) and wall-clock modes.
 //! * [`churn`] — the Fig. 4 control-plane stall model (analytic and
@@ -23,7 +28,6 @@
 pub mod churn;
 pub mod compile;
 pub mod cost;
-pub mod datapath;
 pub mod harness;
 pub mod live;
 pub mod megaflow;
@@ -34,9 +38,8 @@ pub use churn::{
     churn_point, churn_sweep, queue_timeline, simulate_churn_timeline, ChurnPoint, ChurnSpec,
     QueueConfig, QueueReport,
 };
-pub use compile::CompiledEngine;
+pub use compile::{CompileError, CompiledEngine, ProcessOut, TemplatePolicy};
 pub use cost::{ControlStall, CostParams, HwLatency};
-pub use datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
 pub use harness::{
     replay_digest, run_modeled, run_modeled_parallel, run_wallclock, run_with_updates,
     ClosedLoopReport, RunReport,
@@ -44,7 +47,7 @@ pub use harness::{
 pub use live::{LiveError, LiveSwitch, UpdateReceipt};
 pub use megaflow::{CacheUpdateError, CachedEngine, MegaflowStats};
 pub use ovs::OvsSim;
-pub use sims::{EswitchSim, LagopusSim, NoviflowSim};
+pub use sims::NoviflowSim;
 
 use mapro_core::Packet;
 
@@ -70,6 +73,4 @@ pub trait Switch {
     /// Reporting scale from service time to measured latency (testbed
     /// queueing/batching; 1.0 for hardware).
     fn queue_factor(&self) -> f64;
-    /// Longest pipeline chain (for hardware latency accounting).
-    fn stages(&self) -> usize;
 }

@@ -9,8 +9,8 @@
 //! take effect mid-trace, and per-update datapath work is observable
 //! (entries recompiled, stall estimate).
 
+use crate::compile::{CompileError, CompiledEngine, ProcessOut, TemplatePolicy};
 use crate::cost::{ControlStall, CostParams};
-use crate::datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
 use crate::Switch;
 use mapro_control::{Ack, AckError, AckOk, BundleId, Endpoint, Epoch, FlowMod, FlowModOp, TxnId};
 use mapro_core::{Packet, Pipeline};
@@ -34,7 +34,7 @@ pub struct LiveSwitch {
     policy: TemplatePolicy,
     params: CostParams,
     stall: ControlStall,
-    dp: Datapath,
+    dp: CompiledEngine,
     name: &'static str,
     /// Last durably committed state: what the datapath reverts to on a
     /// restart. Advances at install time and on every bundle commit;
@@ -69,7 +69,7 @@ impl LiveSwitch {
         params: CostParams,
         stall: ControlStall,
     ) -> Result<LiveSwitch, CompileError> {
-        let dp = Datapath::compile(&pipeline, policy, params.clone())?;
+        let dp = CompiledEngine::compile(&pipeline, policy, params.clone())?;
         // Declare up front so `--metrics` shows the fence counter even
         // for a run that never sees a stale epoch.
         mapro_obs::counter!("control.epoch.rejections");
@@ -150,7 +150,7 @@ impl LiveSwitch {
             self.dp.recompile_table(&self.pipeline, update.table())
         };
         if let Err(e) = recompiled {
-            // Datapath untouched (the table swap only happens on success);
+            // Engine untouched (the table swap only happens on success);
             // put the control state back too.
             if let (Some(entries), Some(t)) = (before, self.pipeline.table_mut(update.table())) {
                 t.entries = entries;
@@ -317,7 +317,7 @@ impl Endpoint for LiveSwitch {
         self.staged.clear();
         self.acked.clear();
         // `current_epoch` deliberately survives: the fence is durable.
-        self.dp = Datapath::compile(&self.pipeline, self.policy, self.params.clone())
+        self.dp = CompiledEngine::compile(&self.pipeline, self.policy, self.params.clone())
             .expect("committed state compiled when it was committed");
     }
 }
@@ -353,10 +353,6 @@ impl Switch for LiveSwitch {
 
     fn queue_factor(&self) -> f64 {
         self.params.queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
     }
 }
 
@@ -456,17 +452,17 @@ mod tests {
     fn incremental_recompile_reuses_untouched_classifiers() {
         let (p, _, out) = two_tables();
         let mut sw = LiveSwitch::noviflow(p).unwrap();
-        let before = sw.dp.classifier_addrs();
+        let before = sw.dp.table_addrs();
         sw.apply_update(&RuleUpdate::Modify {
             table: "t1".into(),
             matches: vec![Value::Int(5)],
             set: vec![(out, Value::sym("z"))],
         })
         .unwrap();
-        let after = sw.dp.classifier_addrs();
+        let after = sw.dp.table_addrs();
         assert_eq!(
             before[0], after[0],
-            "t0 was untouched; its classifier must be reused"
+            "t0 was untouched; its compiled table must be reused"
         );
         assert_ne!(before[1], after[1], "t1 changed; it must be recompiled");
         // The rebuilt table routes the new action.

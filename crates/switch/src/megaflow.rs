@@ -23,9 +23,8 @@
 //! and every packet takes the inner compiled engine: slower, never
 //! wrong.
 
-use crate::compile::CompiledEngine;
+use crate::compile::{CompileError, CompiledEngine, ProcessOut, TemplatePolicy};
 use crate::cost::CostParams;
-use crate::datapath::{CompileError, ProcessOut, TemplatePolicy};
 use crate::Switch;
 use mapro_core::{Packet, Pipeline};
 use mapro_sym::{BehaviorCover, Cube, FieldSpace, SymConfig};
@@ -47,6 +46,114 @@ fn cache_sym_config() -> SymConfig {
         max_atoms: 1 << 16,
         partition_budget: 1 << 16,
         ..SymConfig::default()
+    }
+}
+
+/// A tuple-space megaflow table: one masked-key hash map per distinct
+/// mask tuple, probed in installation order, with FIFO eviction at a
+/// capacity. Both megaflow caches ([`crate::OvsSim`]'s conservative
+/// masks, [`CachedEngine`]'s atom cubes) store their entries here; they
+/// differ only in how they derive a miss's mask.
+pub(crate) struct MegaflowTable<V> {
+    #[allow(clippy::type_complexity)]
+    tuples: Vec<(Vec<u64>, HashMap<Vec<u64>, V>)>,
+    /// Installed (mask, masked key) pairs in insertion order.
+    fifo: VecDeque<(Vec<u64>, Vec<u64>)>,
+    probe: Vec<u64>,
+}
+
+impl<V> MegaflowTable<V> {
+    /// An empty table over keys of `width` columns.
+    pub(crate) fn new(width: usize) -> MegaflowTable<V> {
+        MegaflowTable {
+            tuples: Vec::new(),
+            fifo: VecDeque::new(),
+            probe: vec![0; width],
+        }
+    }
+
+    /// Entries installed.
+    pub(crate) fn len(&self) -> usize {
+        self.tuples.iter().map(|(_, m)| m.len()).sum()
+    }
+
+    /// Distinct mask tuples (the probe count of a full miss).
+    pub(crate) fn tuples(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// The entry whose masked key matches `key` under its tuple's mask.
+    #[inline]
+    pub(crate) fn lookup(&mut self, key: &[u64]) -> Option<&V> {
+        debug_assert_eq!(key.len(), self.probe.len());
+        for (mask, map) in &self.tuples {
+            for ((p, k), m) in self.probe.iter_mut().zip(key).zip(mask) {
+                *p = k & m;
+            }
+            if let Some(v) = map.get(self.probe.as_slice()) {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Install `v` under `(mask, masked)`, first evicting the oldest
+    /// entries until fewer than `capacity` remain. Returns the number
+    /// evicted.
+    pub(crate) fn install(
+        &mut self,
+        mask: Vec<u64>,
+        masked: Vec<u64>,
+        v: V,
+        capacity: usize,
+    ) -> u64 {
+        let mut evicted = 0;
+        while self.len() >= capacity {
+            let Some((emask, ekey)) = self.fifo.pop_front() else {
+                break;
+            };
+            if let Some((_, map)) = self.tuples.iter_mut().find(|(m, _)| *m == emask) {
+                if map.remove(&ekey).is_some() {
+                    evicted += 1;
+                }
+            }
+            self.tuples.retain(|(_, m)| !m.is_empty());
+        }
+        self.fifo.push_back((mask.clone(), masked.clone()));
+        let map = match self.tuples.iter().position(|(m, _)| *m == mask) {
+            Some(i) => &mut self.tuples[i].1,
+            None => {
+                self.tuples.push((mask, HashMap::new()));
+                &mut self.tuples.last_mut().expect("just pushed").1
+            }
+        };
+        map.insert(masked, v);
+        evicted
+    }
+
+    /// Drop every entry.
+    pub(crate) fn clear(&mut self) {
+        self.tuples.clear();
+        self.fifo.clear();
+    }
+
+    /// Drop every entry `keep` rejects. Returns the number dropped.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> u64 {
+        let before = self.len();
+        for (_, map) in &mut self.tuples {
+            map.retain(|_, v| keep(v));
+        }
+        let removed = (before - self.len()) as u64;
+        if removed > 0 {
+            self.tuples.retain(|(_, m)| !m.is_empty());
+            let tuples = &self.tuples;
+            self.fifo.retain(|(mask, mkey)| {
+                tuples
+                    .iter()
+                    .any(|(m, map)| m == mask && map.contains_key(mkey))
+            });
+        }
+        removed
     }
 }
 
@@ -109,18 +216,13 @@ impl From<CompileError> for CacheUpdateError {
 pub struct CachedEngine {
     inner: CompiledEngine,
     pipeline: Pipeline,
-    policy: TemplatePolicy,
     space: FieldSpace,
     /// `None` ⇒ the symbolic compiler declined the pipeline; the cache is
     /// disabled and every packet takes the inner engine.
     cover: Option<BehaviorCover>,
-    /// The megaflow cache: per mask tuple, masked-key → verdict. Atom
-    /// disjointness guarantees at most one tuple can hit a given key.
-    #[allow(clippy::type_complexity)]
-    tuples: Vec<(Vec<u64>, HashMap<Vec<u64>, MegaVerdict>)>,
-    /// Installed (mask, masked key) pairs in insertion order, for FIFO
-    /// eviction.
-    fifo: VecDeque<(Vec<u64>, Vec<u64>)>,
+    /// The megaflow cache, keyed by atom cubes. Atom disjointness
+    /// guarantees at most one tuple can hit a given key.
+    table: MegaflowTable<MegaVerdict>,
     /// Maximum cached megaflows before eviction.
     pub cache_capacity: usize,
     /// Modeled extra cost of a miss (atom search + install), ns. In-process
@@ -129,7 +231,6 @@ pub struct CachedEngine {
     pub install_ns: f64,
     stats: MegaflowStats,
     key: Vec<u64>,
-    probe: Vec<u64>,
 }
 
 impl CachedEngine {
@@ -160,16 +261,13 @@ impl CachedEngine {
         Ok(CachedEngine {
             inner,
             pipeline: p.clone(),
-            policy,
             space,
             cover,
-            tuples: Vec::new(),
-            fifo: VecDeque::new(),
+            table: MegaflowTable::new(ncols),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             install_ns: 500.0,
             stats: MegaflowStats::default(),
             key: vec![0; ncols],
-            probe: vec![0; ncols],
         })
     }
 
@@ -191,7 +289,7 @@ impl CachedEngine {
 
     /// Megaflow entries currently installed.
     pub fn cache_entries(&self) -> usize {
-        self.tuples.iter().map(|(_, m)| m.len()).sum()
+        self.table.len()
     }
 
     /// Whether the cube cache is active (the symbolic compiler accepted
@@ -201,8 +299,10 @@ impl CachedEngine {
     }
 
     /// Apply a control-plane flow-mod: invalidate precisely the cached
-    /// megaflows whose cubes intersect the update's dirty region, then
-    /// recompile the inner engine and incrementally refresh the cover.
+    /// megaflows whose cubes intersect the update's dirty region,
+    /// recompile the touched table of the inner engine, and incrementally
+    /// refresh the cover. If the updated table no longer compiles, the
+    /// engine is left exactly as it was and the error is returned.
     ///
     /// The dirty region is *one* cube computation
     /// ([`mapro_control::delta_rows`] → [`mapro_sym::dirty_region`],
@@ -222,9 +322,17 @@ impl CachedEngine {
             .then(|| mapro_sym::dirty_region(&self.pipeline, &self.space, &rows))
             .flatten();
 
+        let before = self
+            .pipeline
+            .table(update.table())
+            .map(|t| t.entries.clone());
         mapro_control::apply_update(&mut self.pipeline, update)?;
-        self.inner =
-            CompiledEngine::compile(&self.pipeline, self.policy, self.inner.params().clone())?;
+        if let Err(e) = self.inner.recompile_table(&self.pipeline, update.table()) {
+            if let (Some(entries), Some(t)) = (before, self.pipeline.table_mut(update.table())) {
+                t.entries = entries;
+            }
+            return Err(e.into());
+        }
         // The space is stable under entry edits (match columns are fixed
         // per table), so cached cubes and new-cover cubes stay comparable.
         // Touched atoms are re-tiled in place where possible; a refresh
@@ -242,66 +350,21 @@ impl CachedEngine {
             _ => mapro_sym::compile(&self.pipeline, &self.space, &cache_sym_config()).ok(),
         };
 
-        let flush_all = self.cover.is_none() || dirty.is_none();
-        if flush_all {
+        let removed = match (&self.cover, &dirty) {
+            (Some(_), Some(dirty)) => self
+                .table
+                .retain(|v| !dirty.iter().any(|d| d.intersects(&v.cube))),
             // Cache disabled or dirty region unknown: nothing cached can
             // be trusted to survive the update.
-            let flushed = self.cache_entries() as u64;
-            self.stats.invalidations += flushed;
-            mapro_obs::counter!("switch.megaflow.invalidations").add(flushed);
-            self.tuples.clear();
-            self.fifo.clear();
-            return Ok(());
-        }
-
-        let dirty = dirty.expect("checked above");
-        let mut removed = 0u64;
-        for (_, map) in &mut self.tuples {
-            let before = map.len();
-            map.retain(|_, v| !dirty.iter().any(|d| d.intersects(&v.cube)));
-            removed += (before - map.len()) as u64;
-        }
-        if removed > 0 {
-            self.tuples.retain(|(_, m)| !m.is_empty());
-            self.fifo.retain(|(mask, mkey)| {
-                self.tuples
-                    .iter()
-                    .any(|(m, map)| m == mask && map.contains_key(mkey))
-            });
-            self.stats.invalidations += removed;
-            mapro_obs::counter!("switch.megaflow.invalidations").add(removed);
-        }
+            _ => {
+                let flushed = self.table.len() as u64;
+                self.table.clear();
+                flushed
+            }
+        };
+        self.stats.invalidations += removed;
+        mapro_obs::counter!("switch.megaflow.invalidations").add(removed);
         Ok(())
-    }
-
-    fn install(&mut self, cube: &Cube, v: MegaVerdict) {
-        while self.cache_entries() >= self.cache_capacity {
-            let Some((emask, ekey)) = self.fifo.pop_front() else {
-                break;
-            };
-            if let Some((_, map)) = self.tuples.iter_mut().find(|(m, _)| *m == emask) {
-                if map.remove(&ekey).is_some() {
-                    self.stats.evictions += 1;
-                    mapro_obs::counter!("switch.megaflow.evictions").inc();
-                }
-            }
-            self.tuples.retain(|(_, m)| !m.is_empty());
-        }
-        // `bits ⊆ mask` per column (the `Tern` invariant), so the cube's
-        // bits vector is exactly the masked key of every member packet.
-        let mask: Vec<u64> = cube.0.iter().map(|t| t.mask).collect();
-        let masked: Vec<u64> = cube.0.iter().map(|t| t.bits).collect();
-        self.fifo.push_back((mask.clone(), masked.clone()));
-        match self.tuples.iter_mut().find(|(m, _)| *m == mask) {
-            Some((_, map)) => {
-                map.insert(masked, v);
-            }
-            None => {
-                let mut map = HashMap::new();
-                map.insert(masked, v);
-                self.tuples.push((mask, map));
-            }
-        }
     }
 
     #[inline]
@@ -311,25 +374,20 @@ impl CachedEngine {
         };
         self.space.key_into(pkt, &mut self.key);
         // Fast path: tuple-space probe over the installed mask tuples.
-        let ntuples = self.tuples.len().max(1);
-        for (mask, map) in &self.tuples {
-            for (i, m) in mask.iter().enumerate() {
-                self.probe[i] = self.key[i] & m;
-            }
-            if let Some(hit) = map.get(self.probe.as_slice()) {
-                self.stats.hits += 1;
-                mapro_obs::counter!("switch.megaflow.hits").inc();
-                let params = self.inner.params();
-                let cost = params.per_packet_ns + params.tss_tuple_ns * ntuples as f64;
-                return ProcessOut {
-                    output: hit.output.clone(),
-                    dropped: hit.dropped,
-                    lookups: 1,
-                    service_ns: cost,
-                    latency_ns: cost,
-                    slow_path: false,
-                };
-            }
+        let ntuples = self.table.tuples().max(1);
+        if let Some(hit) = self.table.lookup(&self.key) {
+            self.stats.hits += 1;
+            mapro_obs::counter!("switch.megaflow.hits").inc();
+            let params = self.inner.params();
+            let cost = params.per_packet_ns + params.tss_tuple_ns * ntuples as f64;
+            return ProcessOut {
+                output: hit.output.clone(),
+                dropped: hit.dropped,
+                lookups: 1,
+                service_ns: cost,
+                latency_ns: cost,
+                slow_path: false,
+            };
         }
         // Miss: run the compiled tier, install the atom's cube-exact
         // megaflow with the verdict the inner engine just produced (the
@@ -338,14 +396,22 @@ impl CachedEngine {
         mapro_obs::counter!("switch.megaflow.misses").inc();
         let mut r = self.inner.process(pkt);
         if let Some(ai) = cover.atom_of(&self.key) {
-            let cube = cover.atoms[ai].cube.clone();
+            let cube = &cover.atoms[ai].cube;
+            // `bits ⊆ mask` per column (the `Tern` invariant), so the
+            // cube's bits vector is exactly the masked key of every
+            // member packet.
+            let mask = cube.0.iter().map(|t| t.mask).collect();
+            let masked = cube.0.iter().map(|t| t.bits).collect();
             let v = MegaVerdict {
                 output: r.output.clone(),
                 dropped: r.dropped,
-                cube,
+                cube: cube.clone(),
             };
-            let cube = v.cube.clone();
-            self.install(&cube, v);
+            let evicted = self.table.install(mask, masked, v, self.cache_capacity);
+            if evicted > 0 {
+                self.stats.evictions += evicted;
+                mapro_obs::counter!("switch.megaflow.evictions").add(evicted);
+            }
         }
         r.service_ns += self.install_ns;
         r.latency_ns += self.install_ns;
@@ -375,10 +441,6 @@ impl Switch for CachedEngine {
     fn queue_factor(&self) -> f64 {
         self.inner.params().queue_factor
     }
-
-    fn stages(&self) -> usize {
-        self.inner.stages()
-    }
 }
 
 impl fmt::Debug for CachedEngine {
@@ -395,6 +457,9 @@ impl fmt::Debug for CachedEngine {
 mod tests {
     use super::*;
     use mapro_core::{ActionSem, Catalog, Table, Value};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// The OvsSim test pipeline: 3 tenants × 2 backend prefixes.
     fn universal() -> Pipeline {
@@ -514,7 +579,7 @@ mod tests {
 
     #[test]
     fn unsupported_pipeline_disables_cache_but_stays_correct() {
-        // A goto cycle: sym declines, the interpreter's cycle guard kicks
+        // A goto cycle: sym declines, the compiled engine's cycle guard kicks
         // in, and cached must agree with compiled.
         let mut c = Catalog::new();
         let f = c.field("f", 4);
@@ -539,5 +604,88 @@ mod tests {
         let hit = sim.process(&pkt);
         assert!(hit.service_ns < miss.service_ns);
         assert_eq!(hit.lookups, 1);
+    }
+
+    /// A random flow-mod against `p`: delete an entry, insert a copy of
+    /// one with a perturbed match cell, or rewrite an action cell with a
+    /// parameter already used in its column. One rewrite in eight names
+    /// `nosuch` instead — a dangling target in a goto column, a bad
+    /// parameter in a set-field column — which the engines must refuse
+    /// without changing state.
+    fn random_update(p: &Pipeline, rng: &mut SmallRng) -> mapro_control::RuleUpdate {
+        use mapro_control::RuleUpdate;
+        let t = &p.tables[rng.gen_range(0..p.tables.len())];
+        let table = t.name.clone();
+        let e = &t.entries[rng.gen_range(0..t.entries.len())];
+        match rng.gen_range(0..4u32) {
+            0 => RuleUpdate::Delete {
+                table,
+                matches: e.matches.clone(),
+            },
+            1 => {
+                let mut entry = e.clone();
+                let c = rng.gen_range(0..entry.matches.len());
+                entry.matches[c] = Value::Int(rng.gen_range(0..4u64));
+                RuleUpdate::Insert { table, entry }
+            }
+            _ if t.action_attrs.is_empty() => RuleUpdate::Delete {
+                table,
+                matches: e.matches.clone(),
+            },
+            _ => {
+                let col = rng.gen_range(0..t.action_attrs.len());
+                let donor = &t.entries[rng.gen_range(0..t.entries.len())];
+                let v = if rng.gen_range(0..8u32) == 0 {
+                    Value::sym("nosuch")
+                } else {
+                    donor.actions[col].clone()
+                };
+                RuleUpdate::Modify {
+                    table,
+                    matches: e.matches.clone(),
+                    set: vec![(t.action_attrs[col], v)],
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// After every flow-mod of a random sequence, the per-table
+        /// recompiled engines — inside `CachedEngine` and `LiveSwitch` —
+        /// give the same `ProcessOut` as a fresh compile of the updated
+        /// pipeline, on every trace packet.
+        #[test]
+        fn per_table_recompile_matches_fresh_compile(
+            seed in 0u64..1000,
+            mods in 1usize..10,
+            join in 0usize..2,
+        ) {
+            use mapro_workloads::Gwlb;
+            let g = Gwlb::random(4, 2, seed);
+            let join = [mapro_normalize::JoinKind::Goto, mapro_normalize::JoinKind::Metadata][join];
+            let p = g.normalized(join).unwrap();
+            let trace = mapro_packet::generate(&p.catalog, &g.trace_spec(), 200, seed);
+            let mut cached = CachedEngine::eswitch(&p).unwrap();
+            let mut live = crate::LiveSwitch::eswitch(p).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..mods {
+                if cached.pipeline.tables.iter().any(|t| t.entries.is_empty()) {
+                    break;
+                }
+                let u = random_update(&cached.pipeline, &mut rng);
+                let a = cached.apply_update(&u).is_ok();
+                let b = live.apply_update(&u).is_ok();
+                prop_assert_eq!(a, b, "{:?}", u);
+                prop_assert_eq!(&cached.pipeline, live.pipeline());
+                let mut fresh = CompiledEngine::eswitch(&cached.pipeline).unwrap();
+                for (_, pkt) in &trace.packets {
+                    let want = fresh.process(pkt);
+                    prop_assert_eq!(&cached.inner.process(pkt), &want);
+                    prop_assert_eq!(&live.process(pkt), &want);
+                }
+            }
+        }
     }
 }

@@ -10,8 +10,9 @@
 //! packets covered by the megaflow hit the cache in one lookup, at a cost
 //! independent of how many tables the pipeline has.
 
+use crate::compile::{resolve, CompileError, ProcessOut};
 use crate::cost::CostParams;
-use crate::datapath::ProcessOut;
+use crate::megaflow::{CacheUpdateError, MegaflowTable};
 use crate::Switch;
 use mapro_core::value::prefix_mask;
 use mapro_core::{AttrId, AttrKind, Packet, Pipeline, Value};
@@ -22,7 +23,6 @@ use std::sync::Arc;
 struct CachedVerdict {
     output: Option<Arc<str>>,
     dropped: bool,
-    pipeline_lookups: usize,
 }
 
 /// The OVS simulator.
@@ -31,24 +31,24 @@ pub struct OvsSim {
     fields: Vec<AttrId>,
     /// Per-table, per-field conservative mask (precomputed).
     table_masks: HashMap<String, Vec<u64>>,
-    /// The megaflow cache: (mask tuple, masked-key map).
-    #[allow(clippy::type_complexity)]
-    cache: Vec<(Vec<u64>, HashMap<Vec<u64>, CachedVerdict>)>,
+    /// The megaflow cache, keyed by conservative masks.
+    cache: MegaflowTable<CachedVerdict>,
     params: CostParams,
     /// Modeled slow-path cost (upcall + pipeline interpretation), ns.
     pub slow_path_ns: f64,
     /// Maximum megaflow entries before eviction (OVS's `flow-limit`;
     /// defaults to the real datapath's 200 000).
     pub cache_capacity: usize,
-    /// FIFO of installed (tuple index is rediscovered by mask) masked keys,
-    /// for eviction order.
-    fifo: std::collections::VecDeque<(Vec<u64>, Vec<u64>)>,
     name_index_cache: Vec<(String, usize)>,
 }
 
 impl OvsSim {
     /// Build the simulator around a pipeline (kept for slow-path walks).
-    pub fn compile(p: &Pipeline) -> OvsSim {
+    /// The start table and every goto/next/fall target must resolve, and
+    /// every action parameter must have the right kind — so a slow-path
+    /// walk never meets a dangling reference.
+    pub fn compile(p: &Pipeline) -> Result<OvsSim, CompileError> {
+        resolve(p)?;
         let fields: Vec<AttrId> = p
             .catalog
             .iter()
@@ -77,33 +77,34 @@ impl OvsSim {
             .enumerate()
             .map(|(i, t)| (t.name.clone(), i))
             .collect();
-        OvsSim {
+        Ok(OvsSim {
             pipeline: p.clone(),
+            cache: MegaflowTable::new(fields.len()),
             fields,
             table_masks,
-            cache: Vec::new(),
             params: CostParams::ovs(),
             slow_path_ns: 50_000.0,
             cache_capacity: 200_000,
-            fifo: std::collections::VecDeque::new(),
             name_index_cache,
-        }
+        })
     }
 
     /// Apply a control-plane flow-mod: update the slow-path pipeline and
     /// flush the megaflow cache (OVS's revalidators invalidate affected
     /// megaflows on any OpenFlow table change; we model the conservative
-    /// full flush a table-version bump causes).
+    /// full flush a table-version bump causes). An update that would leave
+    /// a dangling table reference is refused and changes nothing.
     pub fn apply_update(
         &mut self,
         update: &mapro_control::RuleUpdate,
-    ) -> Result<(), mapro_control::ApplyError> {
-        mapro_control::apply_update(&mut self.pipeline, update)?;
+    ) -> Result<(), CacheUpdateError> {
+        let mut next = self.pipeline.clone();
+        mapro_control::apply_update(&mut next, update)?;
         // Masks may have changed shape; recompute them.
         *self = OvsSim {
             cache_capacity: self.cache_capacity,
             slow_path_ns: self.slow_path_ns,
-            ..OvsSim::compile(&self.pipeline)
+            ..OvsSim::compile(&next)?
         };
         Ok(())
     }
@@ -111,57 +112,16 @@ impl OvsSim {
     /// Drop every megaflow (revalidation flush).
     pub fn invalidate_cache(&mut self) {
         self.cache.clear();
-        self.fifo.clear();
     }
 
     /// Number of megaflow entries installed.
     pub fn cache_entries(&self) -> usize {
-        self.cache.iter().map(|(_, m)| m.len()).sum()
+        self.cache.len()
     }
 
     /// Number of distinct megaflow mask tuples.
     pub fn cache_tuples(&self) -> usize {
-        self.cache.len()
-    }
-
-    fn cache_lookup(&self, key: &[u64]) -> Option<&CachedVerdict> {
-        let mut probe = vec![0u64; key.len()];
-        for (mask, map) in &self.cache {
-            for (i, m) in mask.iter().enumerate() {
-                probe[i] = key[i] & m;
-            }
-            if let Some(v) = map.get(probe.as_slice()) {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn install(&mut self, mask: Vec<u64>, key: &[u64], v: CachedVerdict) {
-        // Enforce the flow limit: evict the oldest megaflow (OVS's
-        // revalidators use fancier heuristics; FIFO preserves the property
-        // under test — bounded cache, churn under overload).
-        while self.cache_entries() >= self.cache_capacity {
-            let Some((emask, ekey)) = self.fifo.pop_front() else {
-                break;
-            };
-            if let Some((_, map)) = self.cache.iter_mut().find(|(m, _)| *m == emask) {
-                map.remove(&ekey);
-            }
-            self.cache.retain(|(_, map)| !map.is_empty());
-        }
-        let masked: Vec<u64> = key.iter().zip(&mask).map(|(k, m)| k & m).collect();
-        self.fifo.push_back((mask.clone(), masked.clone()));
-        match self.cache.iter_mut().find(|(m, _)| *m == mask) {
-            Some((_, map)) => {
-                map.insert(masked, v);
-            }
-            None => {
-                let mut map = HashMap::new();
-                map.insert(masked, v);
-                self.cache.push((mask, map));
-            }
-        }
+        self.cache.tuples()
     }
 }
 
@@ -183,8 +143,8 @@ impl Switch for OvsSim {
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
         let key: Vec<u64> = self.fields.iter().map(|&a| pkt.get(a)).collect();
         // Fast path: megaflow cache.
-        let tuples = self.cache.len().max(1);
-        if let Some(hit) = self.cache_lookup(&key) {
+        let tuples = self.cache.tuples().max(1);
+        if let Some(hit) = self.cache.lookup(&key) {
             let cost = self.params.per_packet_ns + self.params.tss_tuple_ns * tuples as f64;
             return ProcessOut {
                 output: hit.output.clone(),
@@ -204,7 +164,7 @@ impl Switch for OvsSim {
         let verdict = self
             .pipeline
             .run_indexed(pkt, &index)
-            .expect("pipeline evaluates (acyclic, resolved)");
+            .expect("targets resolved at compile; only a goto cycle fails");
         let mut mask = vec![0u64; self.fields.len()];
         for tname in &verdict.path {
             if let Some(tm) = self.table_masks.get(tname) {
@@ -213,12 +173,13 @@ impl Switch for OvsSim {
                 }
             }
         }
+        let masked = key.iter().zip(&mask).map(|(k, m)| k & m).collect();
         let cached = CachedVerdict {
             output: verdict.output.clone(),
             dropped: verdict.dropped,
-            pipeline_lookups: verdict.lookups,
         };
-        self.install(mask, &key, cached);
+        self.cache
+            .install(mask, masked, cached, self.cache_capacity);
         let cost = self.slow_path_ns
             + self.params.per_packet_ns
             + self.params.linear_base_ns * verdict.lookups as f64;
@@ -234,10 +195,6 @@ impl Switch for OvsSim {
 
     fn queue_factor(&self) -> f64 {
         self.params.queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.pipeline.tables.len()
     }
 }
 
@@ -296,7 +253,7 @@ mod tests {
     #[test]
     fn first_packet_slow_then_fast() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         let first = sim.process(&pkt);
         assert!(first.slow_path);
@@ -311,7 +268,7 @@ mod tests {
     #[test]
     fn megaflow_covers_the_flow_not_the_packet() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let a = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         sim.process(&a);
         // Different ip_src in the same /1 + same dst → same megaflow.
@@ -329,7 +286,7 @@ mod tests {
     #[test]
     fn cache_collapses_multi_table_pipeline() {
         let p = decomposed();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         let first = sim.process(&pkt);
         assert!(first.slow_path);
@@ -345,8 +302,8 @@ mod tests {
         // within a whisker (same mask tuples → same probe count).
         let pu = universal();
         let pd = decomposed();
-        let mut su = OvsSim::compile(&pu);
-        let mut sd = OvsSim::compile(&pd);
+        let mut su = OvsSim::compile(&pu).unwrap();
+        let mut sd = OvsSim::compile(&pd).unwrap();
         for sim in [&mut su, &mut sd] {
             for tenant in 0..3u64 {
                 for srcbit in [0u64, 1] {
@@ -372,7 +329,7 @@ mod tests {
         use mapro_control::RuleUpdate;
         let p = universal();
         let out = p.catalog.lookup("out").unwrap();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         assert_eq!(sim.process(&pkt).output.as_deref(), Some("vm2"));
         assert!(!sim.process(&pkt).slow_path); // warm
@@ -392,7 +349,7 @@ mod tests {
     #[test]
     fn manual_invalidation_flushes() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 1)]);
         sim.process(&pkt);
         assert_eq!(sim.cache_entries(), 1);
@@ -404,7 +361,7 @@ mod tests {
     #[test]
     fn flow_limit_evicts_oldest_megaflow() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         sim.cache_capacity = 2;
         let pkts: Vec<_> = (0..3u64)
             .map(|t| Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", t)]))
@@ -425,7 +382,7 @@ mod tests {
         let mut spec = g.trace_spec();
         spec.popularity = Popularity::Zipf(1.6);
         let trace = generate(&g.universal.catalog, &spec, 6_000, 5);
-        let mut small = OvsSim::compile(&g.universal);
+        let mut small = OvsSim::compile(&g.universal).unwrap();
         small.cache_capacity = 16; // 128 flows total
         let mut upcalls = 0usize;
         for (_, pkt) in &trace.packets {
@@ -439,7 +396,7 @@ mod tests {
         assert!(hit_rate > 0.7, "hit rate {hit_rate}");
         // Uniform traffic with the same tiny cache thrashes much more.
         let uniform = generate(&g.universal.catalog, &g.trace_spec(), 6_000, 5);
-        let mut sim2 = OvsSim::compile(&g.universal);
+        let mut sim2 = OvsSim::compile(&g.universal).unwrap();
         sim2.cache_capacity = 16;
         let mut upcalls2 = 0usize;
         for (_, pkt) in &uniform.packets {
@@ -453,11 +410,27 @@ mod tests {
     #[test]
     fn dropped_flows_cached_too() {
         let p = universal();
-        let mut sim = OvsSim::compile(&p);
+        let mut sim = OvsSim::compile(&p).unwrap();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 7), ("ip_dst", 99)]);
         let first = sim.process(&pkt);
         assert!(first.dropped && first.slow_path);
         let second = sim.process(&pkt);
         assert!(second.dropped && !second.slow_path);
+    }
+
+    #[test]
+    fn unresolved_tables_rejected_at_compile() {
+        let mut p = universal();
+        p.start = "nosuch".into();
+        assert_eq!(
+            OvsSim::compile(&p).err(),
+            Some(CompileError::UnknownTable("nosuch".into()))
+        );
+        let mut p = decomposed();
+        p.tables[0].entries[0].actions[0] = Value::sym("gone");
+        assert_eq!(
+            OvsSim::compile(&p).err(),
+            Some(CompileError::UnknownTable("gone".into()))
+        );
     }
 }

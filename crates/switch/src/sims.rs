@@ -1,108 +1,21 @@
-//! The ESwitch, Lagopus and NoviFlow simulators.
+//! The NoviFlow hardware model.
 //!
-//! Each is the generic [`Datapath`] executor under the template policy and
-//! cost model that captures what §5 credits for that switch's behaviour:
-//!
-//! * **ESwitch** — per-table template specialization. The universal GWLB
-//!   table (prefix + exact columns together) only fits the slow linear
-//!   wildcard template; the goto-decomposed pipeline compiles to an
-//!   exact-match stage plus tiny LPM stages, hence the paper's >50%
-//!   throughput gain and halved latency.
-//! * **Lagopus** — a uniform tuple-space datapath whose per-packet cost is
-//!   dominated by fixed I/O overhead: representation-agnostic, low rate.
-//! * **NoviFlow** — a TCAM pipeline: line-rate throughput regardless of
-//!   representation; latency grows with pipeline depth (the +2 µs/stage of
-//!   Table 1); control-plane updates stall the datapath (Fig. 4, modeled
-//!   in [`crate::churn`]).
+//! ESwitch and Lagopus are [`CompiledEngine::eswitch`] and
+//! [`CompiledEngine::lagopus`]: a template policy plus a cost model. The
+//! NoviFlow model is the same engine under TCAM templates with one
+//! difference a policy cannot express: a hardware pipeline's throughput
+//! is the line-rate slot regardless of depth, and its latency grows with
+//! pipeline depth (the +2 µs/stage of Table 1). Control-plane updates
+//! stall the datapath (Fig. 4, modeled in [`crate::churn`]).
 
+use crate::compile::{CompileError, CompiledEngine, ProcessOut, TemplatePolicy};
 use crate::cost::{CostParams, HwLatency};
-use crate::datapath::{CompileError, Datapath, ProcessOut, TemplatePolicy};
 use crate::Switch;
-use mapro_classifier::TemplateKind;
 use mapro_core::{Packet, Pipeline};
-
-/// ESwitch-like specializing software switch.
-pub struct EswitchSim {
-    dp: Datapath,
-}
-
-impl EswitchSim {
-    /// Compile a pipeline with per-table template specialization.
-    pub fn compile(p: &Pipeline) -> Result<EswitchSim, CompileError> {
-        Ok(EswitchSim {
-            dp: Datapath::compile(
-                p,
-                TemplatePolicy::Specialize {
-                    generic: TemplateKind::Linear,
-                },
-                CostParams::eswitch(),
-            )?,
-        })
-    }
-
-    /// The template chosen for each table.
-    pub fn templates(&self) -> Vec<(String, TemplateKind)> {
-        self.dp.templates()
-    }
-}
-
-impl Switch for EswitchSim {
-    fn name(&self) -> &'static str {
-        "eswitch"
-    }
-
-    fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.dp.process(pkt)
-    }
-
-    fn queue_factor(&self) -> f64 {
-        self.dp.params().queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
-    }
-}
-
-/// Lagopus-like uniform-TSS software switch.
-pub struct LagopusSim {
-    dp: Datapath,
-}
-
-impl LagopusSim {
-    /// Compile a pipeline onto uniform tuple-space tables.
-    pub fn compile(p: &Pipeline) -> Result<LagopusSim, CompileError> {
-        Ok(LagopusSim {
-            dp: Datapath::compile(
-                p,
-                TemplatePolicy::Uniform(TemplateKind::Tss),
-                CostParams::lagopus(),
-            )?,
-        })
-    }
-}
-
-impl Switch for LagopusSim {
-    fn name(&self) -> &'static str {
-        "lagopus"
-    }
-
-    fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        self.dp.process(pkt)
-    }
-
-    fn queue_factor(&self) -> f64 {
-        self.dp.params().queue_factor
-    }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
-    }
-}
 
 /// NoviFlow-like hardware TCAM pipeline.
 pub struct NoviflowSim {
-    dp: Datapath,
+    engine: CompiledEngine,
     latency: HwLatency,
 }
 
@@ -110,14 +23,14 @@ impl NoviflowSim {
     /// Compile a pipeline onto TCAM stages.
     pub fn compile(p: &Pipeline) -> Result<NoviflowSim, CompileError> {
         Ok(NoviflowSim {
-            dp: Datapath::compile(p, TemplatePolicy::Tcam, CostParams::noviflow())?,
+            engine: CompiledEngine::compile(p, TemplatePolicy::Tcam, CostParams::noviflow())?,
             latency: HwLatency::default(),
         })
     }
 
     /// Line rate in Mpps (the per-packet slot of the cost model).
     pub fn line_rate_mpps(&self) -> f64 {
-        1000.0 / self.dp.params().per_packet_ns
+        1000.0 / self.engine.params().per_packet_ns
     }
 }
 
@@ -127,10 +40,8 @@ impl Switch for NoviflowSim {
     }
 
     fn process(&mut self, pkt: &Packet) -> ProcessOut {
-        let mut out = self.dp.process(pkt);
-        // Hardware pipeline: throughput is the line-rate slot regardless of
-        // depth; latency is base + per-stage.
-        out.service_ns = self.dp.params().per_packet_ns;
+        let mut out = self.engine.process(pkt);
+        out.service_ns = self.engine.params().per_packet_ns;
         out.latency_ns =
             (self.latency.base_us + self.latency.per_stage_us * out.lookups as f64) * 1000.0;
         out
@@ -139,15 +50,12 @@ impl Switch for NoviflowSim {
     fn queue_factor(&self) -> f64 {
         1.0
     }
-
-    fn stages(&self) -> usize {
-        self.dp.max_stages()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapro_classifier::TemplateKind;
     use mapro_core::{ActionSem, Catalog, Table, Value};
 
     /// Universal-vs-goto miniature (3 tenants, 2 backends each).
@@ -189,20 +97,20 @@ mod tests {
 
     #[test]
     fn eswitch_specializes_decomposed_pipeline() {
-        let sim = EswitchSim::compile(&goto_form()).unwrap();
+        let sim = CompiledEngine::eswitch(&goto_form()).unwrap();
         let kinds: Vec<_> = sim.templates().into_iter().map(|(_, k)| k).collect();
         assert_eq!(kinds[0], TemplateKind::Exact); // (ip_dst, tcp_dst) stage
         for k in &kinds[1..] {
             assert_eq!(*k, TemplateKind::Lpm); // per-tenant prefix stages
         }
-        let uni = EswitchSim::compile(&universal()).unwrap();
+        let uni = CompiledEngine::eswitch(&universal()).unwrap();
         assert_eq!(uni.templates()[0].1, TemplateKind::Linear);
     }
 
     #[test]
     fn eswitch_goto_form_is_faster() {
-        let mut uni = EswitchSim::compile(&universal()).unwrap();
-        let mut dec = EswitchSim::compile(&goto_form()).unwrap();
+        let mut uni = CompiledEngine::eswitch(&universal()).unwrap();
+        let mut dec = CompiledEngine::eswitch(&goto_form()).unwrap();
         let p = universal();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 5), ("ip_dst", 1), ("tcp_dst", 80)]);
         let a = uni.process(&pkt);
@@ -232,8 +140,8 @@ mod tests {
 
     #[test]
     fn lagopus_agnostic_to_representation() {
-        let mut uni = LagopusSim::compile(&universal()).unwrap();
-        let mut dec = LagopusSim::compile(&goto_form()).unwrap();
+        let mut uni = CompiledEngine::lagopus(&universal()).unwrap();
+        let mut dec = CompiledEngine::lagopus(&goto_form()).unwrap();
         let p = universal();
         let pkt = Packet::from_fields(&p.catalog, &[("ip_src", 5), ("ip_dst", 1), ("tcp_dst", 80)]);
         let a = uni.process(&pkt);
@@ -249,10 +157,10 @@ mod tests {
         let pu = universal();
         let pg = goto_form();
         let mut sims: Vec<Box<dyn Switch>> = vec![
-            Box::new(EswitchSim::compile(&pu).unwrap()),
-            Box::new(LagopusSim::compile(&pu).unwrap()),
+            Box::new(CompiledEngine::eswitch(&pu).unwrap()),
+            Box::new(CompiledEngine::lagopus(&pu).unwrap()),
             Box::new(NoviflowSim::compile(&pu).unwrap()),
-            Box::new(EswitchSim::compile(&pg).unwrap()),
+            Box::new(CompiledEngine::eswitch(&pg).unwrap()),
         ];
         for (s, d, pt) in [
             (5u64, 1u64, 80u64),

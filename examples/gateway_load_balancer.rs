@@ -25,10 +25,10 @@ fn main() {
         "switch", "repr", "rate [Mpps]", "Q3 delay [µs]"
     );
     for (name, repr) in [("universal", &gwlb.universal), ("goto", &goto)] {
-        let mut eswitch = EswitchSim::compile(repr).unwrap();
-        let mut lagopus = LagopusSim::compile(repr).unwrap();
+        let mut eswitch = CompiledEngine::eswitch(repr).unwrap();
+        let mut lagopus = CompiledEngine::lagopus(repr).unwrap();
         let mut noviflow = NoviflowSim::compile(repr).unwrap();
-        let mut ovs = OvsSim::compile(repr);
+        let mut ovs = OvsSim::compile(repr).unwrap();
         let _ = run_modeled(&mut ovs, &trace); // warm the megaflow cache
         let sims: Vec<(&str, &mut dyn Switch)> = vec![
             ("OVS", &mut ovs),

@@ -270,18 +270,15 @@ fn cli_replay_seed_reproducible_and_engine_contract() {
     assert_eq!(a, b, "same seed must replay identically");
     assert_ne!(a, c, "different seeds must draw different traffic");
 
-    // All three execution tiers agree on the replay digest (the interp
-    // baseline uses the eswitch model the tiers specialize).
-    let interp = digest_of(&["--seed", "7", "--switch", "eswitch"]);
-    let compiled = digest_of(&["--seed", "7", "--engine", "compiled"]);
-    let cached = digest_of(&["--seed", "7", "--engine", "cached"]);
-    assert_eq!(interp, compiled, "compiled tier diverged from interpreter");
-    assert_eq!(interp, cached, "cached tier diverged from interpreter");
+    // The cached tier agrees with the eswitch model it fronts.
+    let eswitch = digest_of(&["--seed", "7", "--switch", "eswitch"]);
+    let cached = digest_of(&["--seed", "7", "--switch", "cached"]);
+    assert_eq!(eswitch, cached, "cached tier diverged from eswitch");
 
     // The cached tier reports its megaflow hit rate.
     let (out, _, code) = run_code(
         &bin(),
-        &["replay", path, "--engine", "cached", "--packets", "2000"],
+        &["replay", path, "--switch", "cached", "--packets", "2000"],
     );
     assert_eq!(code, Some(0));
     assert!(out.contains("megaflow:"), "{out}");
@@ -290,8 +287,7 @@ fn cli_replay_seed_reproducible_and_engine_contract() {
     // Usage errors: exit 2, one line on stderr.
     let cases: &[&[&str]] = &[
         &["replay", path, "--seed", "NaN"],
-        &["replay", path, "--engine", "bogus"],
-        &["replay", path, "--engine", "compiled", "--switch", "ovs"],
+        &["replay", path, "--switch", "bogus"],
     ];
     for args in cases {
         let (_, err, code) = run_code(&bin(), args);
@@ -301,6 +297,69 @@ fn cli_replay_seed_reproducible_and_engine_contract() {
             1,
             "mapro {args:?} usage message not one line: {err:?}"
         );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_replay_rejects_unresolved_tables_on_every_switch() {
+    if !bin().exists() {
+        eprintln!("skipping: {} not built", bin().display());
+        return;
+    }
+    use mapro::core::{ActionSem, AttrKind, Value};
+    use mapro::prelude::{Gwlb, JoinKind};
+    let dir = std::env::temp_dir().join(format!("mapro-cli-badprog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = Gwlb::random(3, 2, 1);
+
+    // A start table that does not exist, and a goto naming no table.
+    let mut bad_start = g.universal.clone();
+    bad_start.start = "nosuch".into();
+    let mut dangling = g.normalized(JoinKind::Goto).expect("decomposes");
+    let (goto, _) = dangling
+        .catalog
+        .iter()
+        .find(|(_, a)| matches!(a.kind, AttrKind::Action(ActionSem::Goto)))
+        .expect("goto form has a goto action");
+    let (t, col) = dangling
+        .tables
+        .iter()
+        .enumerate()
+        .find_map(|(i, t)| Some((i, t.action_attrs.iter().position(|&a| a == goto)?)))
+        .expect("some table has a goto column");
+    dangling.tables[t].entries[0].actions[col] = Value::sym("gone");
+    let cases = [
+        ("bad-start", serde_json::to_string(&bad_start).unwrap()),
+        ("dangling-goto", serde_json::to_string(&dangling).unwrap()),
+    ];
+    for (name, text) in &cases {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        for sw in ["ovs", "eswitch", "lagopus", "noviflow", "cached"] {
+            let (_, err, code) = run_code(
+                &bin(),
+                &[
+                    "replay",
+                    path.to_str().unwrap(),
+                    "--switch",
+                    sw,
+                    "--packets",
+                    "100",
+                ],
+            );
+            assert!(
+                code.is_some_and(|c| c != 0),
+                "{name} on {sw}: expected a clean failure, got {code:?}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{name} on {sw} panicked: {err}");
+            assert_eq!(
+                err.trim_end().lines().count(),
+                1,
+                "{name} on {sw}: error not one line: {err:?}"
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,78 +1,151 @@
-//! Differential harness for the three replay engines: the interpreter
-//! (`EswitchSim`), the compiled tier (`CompiledEngine`), and the
-//! megaflow-cached tier (`CachedEngine`) must produce *identical*
-//! per-packet verdicts — output port and drop bit — and identical replay
-//! digests on every pipeline and every trace, at any worker count.
+//! Differential harness for the replay engines against the reference
+//! semantics, [`Pipeline::run_indexed`].
 //!
-//! The cost model is allowed to differ (that is the whole point of the
-//! cache: hits are cheaper), so only observable behavior is compared.
+//! Every switch model runs on `CompiledEngine`; this file checks it under
+//! the ESwitch, Lagopus and TCAM template policies, plus the two megaflow
+//! caches in front of it (`CachedEngine`'s atom cubes, `OvsSim`'s
+//! conservative masks). Per packet:
+//!
+//! * every engine's output port and drop bit equal the reference
+//!   verdict's;
+//! * each compiled engine's `lookups` equals the length of the reference
+//!   verdict's table path, and its modeled `service_ns` equals
+//!   `per_packet_ns + Σ lookup_ns(template stats)` summed over that path
+//!   in visit order — bit for bit.
+//!
+//! Replay digests agree across all engines at 1 and 4 workers. The
+//! caches' costs differ by design (hits are cheaper), so only their
+//! observable behavior is compared.
 //!
 //! CI runs this file at `MAPRO_THREADS=1` and `=4` and diffs the output,
 //! so everything asserted here must be thread-count independent.
 
 use mapro::prelude::*;
+use mapro_classifier::{build_generic, build_specialized, Classifier, TableView, TcamModel};
 use mapro_packet::{generate, FlowSpec, Popularity, Trace, TraceSpec};
-use mapro_switch::{replay_digest, CachedEngine, CompiledEngine};
+use mapro_switch::{replay_digest, CachedEngine, CompiledEngine, CostParams, TemplatePolicy};
 use mapro_workloads::{random_table, RandomSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 type Factory = Box<dyn Fn() -> Box<dyn Switch + Send> + Sync>;
 
-/// One factory per engine tier, all over the same pipeline.
-fn engine_factories(p: &Pipeline) -> Vec<(&'static str, Factory)> {
-    let (a, b, c) = (p.clone(), p.clone(), p.clone());
-    vec![
+/// The compiled models: name, policy, cost model.
+fn models() -> [(&'static str, TemplatePolicy, CostParams); 3] {
+    [
         (
-            "interp",
-            Box::new(move || {
-                Box::new(EswitchSim::compile(&a).expect("interp compiles"))
-                    as Box<dyn Switch + Send>
-            }) as Factory,
+            "eswitch",
+            TemplatePolicy::Specialize {
+                generic: mapro_classifier::TemplateKind::Linear,
+            },
+            CostParams::eswitch(),
         ),
         (
-            "compiled",
-            Box::new(move || {
-                Box::new(CompiledEngine::eswitch(&b).expect("compiled tier compiles"))
-                    as Box<dyn Switch + Send>
-            }),
+            "lagopus",
+            TemplatePolicy::Uniform(mapro_classifier::TemplateKind::Tss),
+            CostParams::lagopus(),
         ),
-        (
-            "cached",
-            Box::new(move || {
-                Box::new(CachedEngine::eswitch(&c).expect("cached tier compiles"))
-                    as Box<dyn Switch + Send>
-            }),
-        ),
+        ("tcam", TemplatePolicy::Tcam, CostParams::noviflow()),
     ]
 }
 
-/// Assert all three engines agree packet-by-packet on (output, dropped),
-/// and that their replay digests match at 1 and 4 workers.
-fn engines_identical(p: &Pipeline, trace: &Trace, ctx: &str) {
-    let engines = engine_factories(p);
+/// One factory per engine over the same pipeline: the three compiled
+/// models, then the two caches.
+fn engine_factories(p: &Pipeline) -> Vec<(&'static str, Factory)> {
+    let mut out: Vec<(&'static str, Factory)> = models()
+        .into_iter()
+        .map(|(name, policy, params)| {
+            let p = p.clone();
+            let f: Factory = Box::new(move || {
+                Box::new(CompiledEngine::compile(&p, policy, params.clone()).expect("compiles"))
+            });
+            (name, f)
+        })
+        .collect();
+    let (a, b) = (p.clone(), p.clone());
+    out.push((
+        "cached",
+        Box::new(move || Box::new(CachedEngine::eswitch(&a).expect("cached tier compiles"))),
+    ));
+    out.push((
+        "ovs",
+        Box::new(move || Box::new(OvsSim::compile(&b).expect("ovs compiles"))),
+    ));
+    out
+}
 
-    // Per-packet verdicts, serial: every packet in order through all
-    // three tiers, compared pairwise against the interpreter.
+/// The modeled per-visit cost of each table under `policy`, computed
+/// from the real `mapro-classifier` template the policy picks.
+fn visit_costs(p: &Pipeline, policy: TemplatePolicy, params: &CostParams) -> HashMap<String, f64> {
+    p.tables
+        .iter()
+        .map(|t| {
+            let view = TableView::of(t, &p.catalog);
+            let stats = match policy {
+                TemplatePolicy::Specialize { generic } => build_specialized(&view, generic).stats(),
+                TemplatePolicy::Uniform(kind) => build_generic(&view, kind).stats(),
+                TemplatePolicy::Tcam => TcamModel::build(&view, usize::MAX)
+                    .expect("unbounded capacity")
+                    .stats(),
+            };
+            (t.name.clone(), params.lookup_ns(&stats))
+        })
+        .collect()
+}
+
+/// Assert every engine agrees with the reference semantics packet by
+/// packet (verdicts; lookups and modeled cost for the compiled models),
+/// and that all replay digests match at 1 and 4 workers.
+fn engines_match_reference(p: &Pipeline, trace: &Trace, ctx: &str) {
+    let index: HashMap<&str, usize> = p
+        .tables
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.name.as_str(), i))
+        .collect();
+    let costs: Vec<(CostParams, HashMap<String, f64>)> = models()
+        .into_iter()
+        .map(|(_, policy, params)| {
+            let c = visit_costs(p, policy, &params);
+            (params, c)
+        })
+        .collect();
+    let engines = engine_factories(p);
     let mut sims: Vec<(&str, Box<dyn Switch + Send>)> =
         engines.iter().map(|(n, f)| (*n, f())).collect();
+
     for (i, (_, pkt)) in trace.packets.iter().enumerate() {
-        let mut verdicts = sims.iter_mut().map(|(n, s)| {
-            let r = s.process(pkt);
-            (*n, r.output, r.dropped)
-        });
-        let (_, out0, drop0) = verdicts.next().expect("at least one engine");
-        for (name, out, dropped) in verdicts {
+        let want = p.run_indexed(pkt, &index).expect("reference evaluates");
+        for (k, (name, sim)) in sims.iter_mut().enumerate() {
+            let got = sim.process(pkt);
             assert_eq!(
-                (&out0, drop0),
-                (&out, dropped),
-                "{ctx}: {name} diverged from interp on packet {i}"
+                (&got.output, got.dropped),
+                (&want.output, want.dropped),
+                "{ctx}: {name} diverged from the reference on packet {i}"
+            );
+            let Some((params, visit)) = costs.get(k) else {
+                continue; // a cache: only observable behavior is compared
+            };
+            assert_eq!(
+                got.lookups,
+                want.path.len(),
+                "{ctx}: {name} lookups on packet {i}"
+            );
+            let mut service = params.per_packet_ns;
+            for t in &want.path {
+                service += visit[t];
+            }
+            assert_eq!(
+                got.service_ns.to_bits(),
+                service.to_bits(),
+                "{ctx}: {name} modeled cost on packet {i}: {} vs {service}",
+                got.service_ns
             );
         }
     }
 
-    // Replay digests: identical across engines at every worker count.
     for workers in [1usize, 4] {
         let digests: Vec<(&str, u64)> = engines
             .iter()
@@ -81,7 +154,8 @@ fn engines_identical(p: &Pipeline, trace: &Trace, ctx: &str) {
         for (name, d) in &digests[1..] {
             assert_eq!(
                 digests[0].1, *d,
-                "{ctx}: {name} digest differs from interp at {workers} workers"
+                "{ctx}: {name} digest differs from {} at {workers} workers",
+                digests[0].0
             );
         }
     }
@@ -123,15 +197,15 @@ fn gwlb_representations_identical_across_engines() {
     };
     for (name, repr) in [("universal", &g.universal), ("goto", &goto)] {
         let trace = generate(&repr.catalog, &spec, 4_000, 2019);
-        engines_identical(repr, &trace, &format!("gwlb {name}"));
+        engines_match_reference(repr, &trace, &format!("gwlb {name}"));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random single-table pipelines under uniform traffic: all three
-    /// tiers byte-identical, including on flows that miss every row.
+    /// Random single-table pipelines under uniform traffic: every engine
+    /// matches the reference, including on flows that miss every row.
     #[test]
     fn random_tables_identical_uniform(
         seed in 0u64..1000,
@@ -142,11 +216,11 @@ proptest! {
         let spec = RandomSpec { fields, rows, domain: 6, planted: vec![] };
         let rt = random_table(&spec, seed);
         let trace = random_trace(&rt, &spec, Popularity::Weighted, nflows, 2_000, seed);
-        engines_identical(&rt.pipeline, &trace, "random uniform");
+        engines_match_reference(&rt.pipeline, &trace, "random uniform");
     }
 
     /// Same, under Zipf-skewed traffic — the regime where the megaflow
-    /// cache serves almost everything from installed cubes.
+    /// caches serve almost everything from installed entries.
     #[test]
     fn random_tables_identical_zipf(
         seed in 1000u64..2000,
@@ -157,6 +231,6 @@ proptest! {
         let spec = RandomSpec { fields, rows, domain: 6, planted: vec![] };
         let rt = random_table(&spec, seed);
         let trace = random_trace(&rt, &spec, Popularity::Zipf(1.2), nflows, 2_000, seed);
-        engines_identical(&rt.pipeline, &trace, "random zipf");
+        engines_match_reference(&rt.pipeline, &trace, "random zipf");
     }
 }
