@@ -8,11 +8,11 @@
 //! mapro convert <prog.json|prog.mat> [--mat]     # JSON ↔ text format
 //! mapro show <prog.json>                          # paper-figure rendering
 //! mapro analyze <prog.json>                       # per-table NF report
-//! mapro lint <prog.json> [--format text|json] [--backend cube|dd|auto]
+//! mapro lint <prog.json> [--format text|json] [--backend cube|dd]
 //!            [--deny warn] [-A|-W|-D <lint-id>]...
 //! mapro normalize <prog.json> [--join goto|metadata|rematch] [--target 2nf|3nf|bcnf] [--verify]
 //! mapro flatten <prog.json>                       # denormalize to one table
-//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend cube|dd|auto]
+//! mapro check <a.json> <b.json> [--mode auto|symbolic|enumerate] [--backend cube|dd]
 //! mapro replay <prog.json> [--packets N --flows F --seed S --shards N]
 //!              [--switch ovs|eswitch|lagopus|noviflow|cached]
 //! mapro export <prog.json> --format openflow|p4   # data-plane program text
@@ -92,7 +92,7 @@ fn parse_backend(flag: &Option<String>) -> mapro_sym::CoverBackend {
     match flag.as_deref() {
         None => mapro_sym::CoverBackend::default(),
         Some(s) => mapro_sym::CoverBackend::parse(s)
-            .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (cube|dd|auto)"))),
+            .unwrap_or_else(|| usage_error(format_args!("unknown backend {s:?} (cube|dd)"))),
     }
 }
 
@@ -363,10 +363,10 @@ fn main() {
         "check" => {
             let a = load(args.get(1).unwrap_or_else(|| usage()));
             let b = load(args.get(2).unwrap_or_else(|| usage()));
-            // Engine selection: the default Auto prefers the symbolic
-            // cover engine and falls back to enumeration outside its
-            // fragment; the method is always printed so a sampled verdict
-            // is never mistaken for a proof.
+            // Engine selection: the default Auto mode prefers the symbolic
+            // engine (DD backend unless `--backend cube`) and falls back to
+            // enumeration outside its fragment; the method is always
+            // printed so a sampled verdict is never mistaken for a proof.
             let mode = match flag("--mode").as_deref() {
                 None | Some("auto") => mapro_core::EquivMode::Auto,
                 Some("symbolic") => mapro_core::EquivMode::Symbolic,
@@ -393,7 +393,8 @@ fn main() {
                     fallback,
                 )) => {
                     println!(
-                        "EQUIVALENT ({packets_checked} packets, exhaustive: {exhaustive}, method: {method})"
+                        "EQUIVALENT ({packets_checked} {}, exhaustive: {exhaustive}, method: {method})",
+                        method.work_unit()
                     );
                     if let Some(fb) = fallback {
                         println!("  symbolic fallback ({}): {}", fb.cause, fb.detail);

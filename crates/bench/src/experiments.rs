@@ -1608,8 +1608,8 @@ pub fn symscale(cfg: &BenchConfig) -> SymScaleReport {
         mode: EquivMode::Enumerate,
         ..EquivConfig::default()
     };
-    // E17 measures the *cube* engine; pin it so the committed digests stay
-    // byte-identical as the Auto policy evolves (E21 covers the DD side).
+    // E17 measures the *cube* engine (the default is DD); pin it so the
+    // committed digests stay byte-identical (E21 covers the DD side).
     let scfg = SymConfig {
         backend: mapro_sym::CoverBackend::Cube,
         ..SymConfig::default()
@@ -1826,6 +1826,12 @@ pub fn phases(cfg: &BenchConfig) -> PhasesReport {
         mode: EquivMode::Enumerate,
         ..EquivConfig::default()
     };
+    // The symbolic rows attribute the E17 cube engine's cost model
+    // (compile vs cross-intersection), so they pin the cube backend.
+    let cube = SymConfig {
+        backend: mapro_sym::CoverBackend::Cube,
+        ..SymConfig::default()
+    };
 
     let mut workloads = Vec::new();
     let mut run = |name: &str, f: &mut dyn FnMut()| {
@@ -1856,14 +1862,13 @@ pub fn phases(cfg: &BenchConfig) -> PhasesReport {
     };
 
     run("check-sym-gwlb", &mut || {
-        let _ =
-            mapro_sym::check_equivalent_with(&g.universal, &goto, &sym_cfg, &SymConfig::default());
+        let _ = mapro_sym::check_equivalent_with(&g.universal, &goto, &sym_cfg, &cube);
     });
     run("check-sym-wide4", &mut || {
-        let _ = mapro_sym::check_equivalent_with(&w4l, &w4r, &sym_cfg, &SymConfig::default());
+        let _ = mapro_sym::check_equivalent_with(&w4l, &w4r, &sym_cfg, &cube);
     });
     run("check-sym-wide8", &mut || {
-        let _ = mapro_sym::check_equivalent_with(&w8l, &w8r, &sym_cfg, &SymConfig::default());
+        let _ = mapro_sym::check_equivalent_with(&w8l, &w8r, &sym_cfg, &cube);
     });
     run("check-enum-gwlb", &mut || {
         let _ = mapro_core::check_equivalent(&g.universal, &goto, &enum_cfg);

@@ -41,35 +41,50 @@ fn structure_at(threads: usize, work: impl FnOnce()) -> Vec<(String, usize)> {
     data.structure()
 }
 
-#[test]
-fn symbolic_check_structure_is_thread_invariant() {
-    let _g = lock();
-    // An *equivalent* pair: a counterexample would let the chunked cross
-    // scan exit early, making chunk counts legitimately thread-dependent.
+/// The span structure of one symbolic GWLB check under `sym`, at
+/// `threads` pool threads. The pair is *equivalent*: a counterexample
+/// would let the cube engine's chunked cross scan exit early, making
+/// chunk counts legitimately thread-dependent.
+fn symbolic_check_structure(threads: usize, sym: &mapro_sym::SymConfig) -> Vec<(String, usize)> {
     let g = Gwlb::random(8, 4, 2019);
     let goto = g.normalized(JoinKind::Goto).expect("decomposes");
     let cfg = EquivConfig {
         mode: EquivMode::Symbolic,
         ..EquivConfig::default()
     };
-    let run = |threads| {
-        structure_at(threads, || {
-            let out = mapro_sym::check_equivalent_with(
-                &g.universal,
-                &goto,
-                &cfg,
-                &mapro_sym::SymConfig::default(),
-            )
-            .expect("comparable");
-            assert!(matches!(out, EquivOutcome::Equivalent { .. }));
-        })
+    structure_at(threads, || {
+        let out =
+            mapro_sym::check_equivalent_with(&g.universal, &goto, &cfg, sym).expect("comparable");
+        assert!(matches!(out, EquivOutcome::Equivalent { .. }));
+    })
+}
+
+#[test]
+fn symbolic_check_structure_is_thread_invariant() {
+    let _g = lock();
+    let cube = mapro_sym::SymConfig {
+        backend: mapro_sym::CoverBackend::Cube,
+        ..mapro_sym::SymConfig::default()
     };
-    let s1 = run(1);
-    let s4 = run(4);
+    let s1 = symbolic_check_structure(1, &cube);
+    let s4 = symbolic_check_structure(4, &cube);
     assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
     assert!(
         s1.iter().any(|(p, _)| p == "check.symbolic.cross.chunk"),
         "cross-intersection chunks missing from {s1:?}"
+    );
+}
+
+#[test]
+fn default_symbolic_check_structure_is_thread_invariant() {
+    let _g = lock();
+    let dd = mapro_sym::SymConfig::default();
+    let s1 = symbolic_check_structure(1, &dd);
+    let s4 = symbolic_check_structure(4, &dd);
+    assert_eq!(s1, s4, "span structure differs between 1 and 4 threads");
+    assert!(
+        s1.contains(&("check.symbolic.symbolic_dd.dd.compile".to_string(), 2)),
+        "one DD compile per side missing from {s1:?}"
     );
 }
 

@@ -37,13 +37,27 @@ impl std::fmt::Display for CheckMethod {
     }
 }
 
+impl CheckMethod {
+    /// What [`EquivOutcome::Equivalent::packets_checked`] counts under this
+    /// method: `"atoms"` for a symbolic proof, `"packets"` otherwise.
+    pub fn work_unit(self) -> &'static str {
+        match self {
+            CheckMethod::Symbolic => "atoms",
+            CheckMethod::Exhaustive | CheckMethod::Sampled => "packets",
+        }
+    }
+}
+
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EquivOutcome {
     /// No distinguishing packet exists in the checked set.
     Equivalent {
-        /// How many packets were evaluated (for [`CheckMethod::Symbolic`]:
-        /// how many non-empty atom intersections were compared).
+        /// How many packets were evaluated. For [`CheckMethod::Symbolic`] it
+        /// is the symbolic work instead, in "atoms" (see
+        /// [`CheckMethod::work_unit`]): the non-empty atom intersections
+        /// compared by the cube backend, the shared diagram nodes of the
+        /// two roots under the DD backend.
         packets_checked: usize,
         /// True if the full Cartesian product was enumerated (complete
         /// check); false if the product was sampled.

@@ -17,10 +17,13 @@
 //!   it compiles to an inline empty body.
 //! - Each thread buffers events in a thread-local **ring buffer**
 //!   (capacity [`TraceConfig::buffer_capacity`]); the emit path takes
-//!   no lock. On overflow the oldest event is discarded and counted in
-//!   [`TraceData::dropped`]. Buffers flush into the global collector
-//!   when the thread exits or when the session is drained/stopped from
-//!   that thread.
+//!   no lock. A thread's buffer flushes into the global collector when
+//!   its outermost open span closes (an event emitted outside any span
+//!   flushes at once), so everything a thread recorded is collected
+//!   once it has no span open — e.g. as soon as a scoped thread's body
+//!   returns. The collector keeps at most the capacity per thread, too:
+//!   the oldest events are discarded and counted in
+//!   [`TraceData::dropped`].
 //! - Spans carry a **logical path** (`check.cross.chunk`) independent
 //!   of which thread ran them: the innermost open span on the current
 //!   thread is the parent, and `mapro-par` propagates the spawning
@@ -215,8 +218,10 @@ fn now_ns() -> u64 {
 struct Collector {
     session: u64,
     capacity: usize,
-    /// Events flushed since the last drain.
-    events: Vec<Event>,
+    /// Events flushed since the last drain, one queue per registered
+    /// thread buffer (indexed by [`ThreadBuf::slot`]), each holding at
+    /// most `capacity` events.
+    buffers: Vec<VecDeque<Event>>,
     /// Events already handed out by [`drain`], kept so [`stop`]
     /// returns the whole session.
     archived: Vec<Event>,
@@ -248,12 +253,17 @@ fn collector() -> &'static Mutex<Collector> {
 #[cfg(feature = "enabled")]
 struct ThreadBuf {
     session: u64,
+    /// This buffer's queue in [`Collector::buffers`].
+    slot: usize,
     track: u32,
     capacity: usize,
     ring: VecDeque<Event>,
     dropped: u64,
     /// Paths of the open [`Category::Phase`] spans on this thread.
     stack: Vec<Arc<str>>,
+    /// Open spans of any category on this thread; the buffer flushes
+    /// when this returns to zero.
+    open: usize,
     /// Logical parent inherited from a spawning thread (pool workers).
     ambient: Option<Arc<str>>,
 }
@@ -264,8 +274,8 @@ struct TlsSlot(Option<ThreadBuf>);
 #[cfg(feature = "enabled")]
 impl Drop for TlsSlot {
     fn drop(&mut self) {
-        if let Some(buf) = self.0.take() {
-            flush_into_collector(buf.session, buf.ring, buf.dropped);
+        if let Some(mut buf) = self.0.take() {
+            flush_buf(&mut buf);
         }
     }
 }
@@ -275,14 +285,22 @@ thread_local! {
     static TLS: RefCell<TlsSlot> = const { RefCell::new(TlsSlot(None)) };
 }
 
-/// Append a thread buffer's events to the collector, discarding them
-/// if they belong to a previous session.
+/// Move a thread buffer's events to its queue in the collector
+/// (discarding them if their session has ended), dropping the oldest
+/// beyond the capacity.
 #[cfg(feature = "enabled")]
-fn flush_into_collector(session: u64, events: impl IntoIterator<Item = Event>, dropped: u64) {
-    let mut c = collector().lock().unwrap();
-    if c.session == session {
-        c.events.extend(events);
-        c.dropped += dropped;
+fn flush_buf(buf: &mut ThreadBuf) {
+    let mut guard = collector().lock().unwrap();
+    let c = &mut *guard;
+    // `stop` empties `buffers`, so a stopped session has no queue left.
+    match c.buffers.get_mut(buf.slot) {
+        Some(queue) if c.session == buf.session => {
+            queue.extend(buf.ring.drain(..));
+            let excess = queue.len().saturating_sub(c.capacity);
+            queue.drain(..excess);
+            c.dropped += std::mem::take(&mut buf.dropped) + excess as u64;
+        }
+        _ => buf.ring.clear(),
     }
 }
 
@@ -311,9 +329,9 @@ fn with_buf_named<R>(preferred: Option<&str>, f: impl FnOnce(&mut ThreadBuf) -> 
             None => true,
         };
         if stale {
-            if let Some(old) = slot.0.take() {
+            if let Some(mut old) = slot.0.take() {
                 // Old-session leftovers: flush (discards on mismatch).
-                flush_into_collector(old.session, old.ring, old.dropped);
+                flush_buf(&mut old);
             }
             let mut c = collector().lock().unwrap();
             if c.session != session {
@@ -328,13 +346,16 @@ fn with_buf_named<R>(preferred: Option<&str>, f: impl FnOnce(&mut ThreadBuf) -> 
             };
             let track = c.track_for_name(&default_name);
             let capacity = c.capacity.max(1);
+            c.buffers.push(VecDeque::new());
             slot.0 = Some(ThreadBuf {
                 session,
+                slot: c.buffers.len() - 1,
                 track,
                 capacity,
                 ring: VecDeque::with_capacity(capacity.min(1024)),
                 dropped: 0,
                 stack: Vec::new(),
+                open: 0,
                 ambient: None,
             });
         }
@@ -342,6 +363,7 @@ fn with_buf_named<R>(preferred: Option<&str>, f: impl FnOnce(&mut ThreadBuf) -> 
     })
 }
 
+/// Buffer `ev`, flushing when no span is open on this thread any more.
 #[cfg(feature = "enabled")]
 fn push_event(buf: &mut ThreadBuf, ev: Event) {
     if buf.ring.len() >= buf.capacity {
@@ -349,6 +371,9 @@ fn push_event(buf: &mut ThreadBuf, ev: Event) {
         buf.dropped += 1;
     }
     buf.ring.push_back(ev);
+    if buf.open == 0 {
+        flush_buf(buf);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -367,7 +392,7 @@ pub fn start(cfg: &TraceConfig) -> bool {
         let _ = epoch(); // anchor the clock before the first event
         c.session += 1;
         c.capacity = cfg.buffer_capacity.max(1);
-        c.events.clear();
+        c.buffers.clear();
         c.archived.clear();
         c.tracks.clear();
         c.dropped = 0;
@@ -398,9 +423,9 @@ pub fn active() -> bool {
 /// Collect the events recorded since the last [`drain`] (flushing the
 /// calling thread's buffer) without ending the session. The drained
 /// events are also archived so a later [`stop`] still returns the full
-/// session. Events buffered on *other live threads* are not included
-/// until those threads exit — `mapro-par` workers are scoped, so after
-/// a pool run returns, all worker events are visible.
+/// session. Events buffered on *other threads* are included once the
+/// outermost span open there has closed — after a `mapro-par` pool run
+/// returns, all worker events are visible.
 ///
 /// Returns an empty [`TraceData`] when no session is active.
 pub fn drain() -> TraceData {
@@ -411,7 +436,7 @@ pub fn drain() -> TraceData {
         if !TRACING.load(Relaxed) {
             return TraceData::default();
         }
-        let events = std::mem::take(&mut c.events);
+        let events: Vec<Event> = c.buffers.iter_mut().flat_map(|q| q.drain(..)).collect();
         c.archived.extend(events.iter().cloned());
         let mut data = TraceData {
             events,
@@ -428,10 +453,14 @@ pub fn drain() -> TraceData {
 }
 
 /// End the session and return everything recorded during it (including
-/// previously [`drain`]ed events). Threads still running keep their
-/// unflushed events — stop from the thread that started the session,
-/// after joining any helpers. Returns an empty [`TraceData`] when no
+/// previously [`drain`]ed events). Returns an empty [`TraceData`] when no
 /// session is active.
+///
+/// The calling thread's buffer is flushed here; another thread's events
+/// reach the session when its outermost open span closes. So stop after
+/// helper threads have closed their spans — joining them, explicitly or
+/// at the end of a `std::thread::scope`, is enough; spans still open on
+/// a running thread are not included.
 pub fn stop() -> TraceData {
     #[cfg(feature = "enabled")]
     {
@@ -442,7 +471,7 @@ pub fn stop() -> TraceData {
         }
         TRACING.store(false, Relaxed);
         let mut events = std::mem::take(&mut c.archived);
-        events.append(&mut c.events);
+        events.extend(c.buffers.drain(..).flatten());
         let mut data = TraceData {
             events,
             tracks: std::mem::take(&mut c.tracks),
@@ -461,9 +490,7 @@ pub fn stop() -> TraceData {
 fn flush_current_thread() {
     TLS.with(|slot| {
         if let Some(b) = &mut slot.borrow_mut().0 {
-            let events: Vec<Event> = b.ring.drain(..).collect();
-            let dropped = std::mem::take(&mut b.dropped);
-            flush_into_collector(b.session, events, dropped);
+            flush_buf(b);
         }
     });
 }
@@ -515,6 +542,7 @@ impl Drop for Span {
                 if inner.cat == Category::Phase && b.stack.last() == Some(&inner.path) {
                     b.stack.pop();
                 }
+                b.open = b.open.saturating_sub(1);
                 let track = b.track;
                 push_event(
                     b,
@@ -551,6 +579,7 @@ pub fn span_kv(name: &'static str, fields: Vec<(&'static str, FieldVal)>) -> Spa
                 None => Arc::from(name),
             };
             b.stack.push(Arc::clone(&path));
+            b.open += 1;
             SpanInner {
                 name,
                 cat: Category::Phase,
@@ -574,12 +603,15 @@ pub fn span_kv(name: &'static str, fields: Vec<(&'static str, FieldVal)>) -> Spa
 pub fn sched_span(name: &'static str) -> Span {
     #[cfg(feature = "enabled")]
     {
-        let inner = with_buf(|_b| SpanInner {
-            name,
-            cat: Category::Sched,
-            path: Arc::from(name),
-            start_ns: now_ns(),
-            fields: Vec::new(),
+        let inner = with_buf(|b| {
+            b.open += 1;
+            SpanInner {
+                name,
+                cat: Category::Sched,
+                path: Arc::from(name),
+                start_ns: now_ns(),
+                fields: Vec::new(),
+            }
         });
         Span { inner }
     }
@@ -847,12 +879,18 @@ impl TraceData {
 
     /// Aggregate phase statistics by logical path (sorted by path).
     fn phase_stats(&self) -> Vec<PhaseStat> {
-        let mut totals: std::collections::BTreeMap<String, (u64, u64)> =
+        // Per path: total, count, and the parent path (names may contain
+        // dots, so the parent is the path minus `.{name}`).
+        let mut totals: std::collections::BTreeMap<String, (u64, u64, Option<&str>)> =
             std::collections::BTreeMap::new();
         for e in &self.events {
             if e.cat == Category::Phase {
                 if let EventKind::Span { dur_ns } = e.kind {
-                    let t = totals.entry(e.path.to_string()).or_insert((0, 0));
+                    let parent = e
+                        .path
+                        .strip_suffix(e.name)
+                        .and_then(|p| p.strip_suffix('.'));
+                    let t = totals.entry(e.path.to_string()).or_insert((0, 0, parent));
                     t.0 += dur_ns;
                     t.1 += 1;
                 }
@@ -862,17 +900,14 @@ impl TraceData {
         // Children running in parallel can oversubscribe the parent's
         // wall time; clamp at zero.
         let mut child_sum: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-        for (path, (total, _)) in &totals {
-            if let Some(dot) = path.rfind('.') {
-                let parent = &path[..dot];
-                if let Some((k, _)) = totals.get_key_value(parent) {
-                    *child_sum.entry(k.as_str()).or_insert(0) += *total;
-                }
+        for (total, _, parent) in totals.values() {
+            if let Some(parent) = parent {
+                *child_sum.entry(parent).or_insert(0) += *total;
             }
         }
         totals
             .iter()
-            .map(|(path, (total, count))| PhaseStat {
+            .map(|(path, (total, count, _))| PhaseStat {
                 path: path.clone(),
                 count: *count,
                 total_ns: *total,
@@ -886,19 +921,21 @@ impl TraceData {
     /// critical-path estimate.
     pub fn summary(&self) -> TraceSummary {
         let phases = self.phase_stats();
-        // Roots: paths without a dot. They run sequentially on the
-        // driving thread, so their summed durations estimate the
-        // critical path and their interval union the covered time.
+        // Roots: spans without a parent (path = name). They run
+        // sequentially on the driving thread, so their summed durations
+        // estimate the critical path and their interval union the
+        // covered time.
         let mut root_ivals: Vec<(u64, u64)> = self
             .events
             .iter()
-            .filter(|e| e.cat == Category::Phase && !e.path.contains('.'))
+            .filter(|e| e.cat == Category::Phase && *e.path == *e.name)
             .filter_map(|e| match e.kind {
                 EventKind::Span { dur_ns } => Some((e.ts_ns, e.ts_ns + dur_ns)),
                 EventKind::Instant => None,
             })
             .collect();
         root_ivals.sort_unstable();
+        let critical_path_ns = root_ivals.iter().map(|(s, e)| e - s).sum();
         let mut covered = 0u64;
         let mut cursor = 0u64;
         for (s, e) in root_ivals {
@@ -908,11 +945,6 @@ impl TraceData {
                 cursor = e;
             }
         }
-        let critical_path_ns = phases
-            .iter()
-            .filter(|p| !p.path.contains('.'))
-            .map(|p| p.total_ns)
-            .sum();
         TraceSummary {
             phases,
             wall_ns: self.wall_ns(),
@@ -1073,6 +1105,44 @@ mod tests {
         let data = stop();
         let tree = data.structure();
         assert!(tree.contains(&("root.child".to_string(), 1)), "{tree:?}");
+    }
+
+    #[test]
+    fn scoped_threads_are_collected_without_explicit_joins() {
+        let _g = lock();
+        for _ in 0..20 {
+            assert!(start(&TraceConfig::default()));
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let _w = span("w");
+                        instant("tick");
+                    });
+                    s.spawn(|| instant("loose"));
+                }
+            });
+            let data = stop();
+            assert_eq!(data.structure(), vec![("w".to_string(), 4)]);
+            assert_eq!(data.events.len(), 12, "spans and instants all collected");
+        }
+    }
+
+    #[test]
+    fn dotted_span_names_nest_in_the_summary() {
+        let _g = lock();
+        assert!(start(&TraceConfig::default()));
+        {
+            let _outer = span("a.outer");
+            let _inner = span("b.inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let sum = stop().summary();
+        let outer = sum.get("a.outer").unwrap();
+        let inner = sum.get("a.outer.b.inner").unwrap();
+        assert_eq!(outer.self_ns, outer.total_ns - inner.total_ns);
+        assert_eq!(inner.self_ns, inner.total_ns);
+        assert_eq!(sum.critical_path_ns, outer.total_ns);
+        assert_eq!(sum.covered_ns, outer.total_ns);
     }
 
     #[test]

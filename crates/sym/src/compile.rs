@@ -214,50 +214,44 @@ pub fn invalidation_cube(
 
 /// Which representation carries a behavior cover.
 ///
-/// * `Cube` — flat disjoint ternary cube lists (the original engine):
-///   cheap at small widths, but subtraction splits cubes recursively and
-///   cross-intersection is quadratic in atoms.
-/// * `Dd` — hash-consed decision diagrams (`mapro-dd`): one canonical
-///   MTBDD per pipeline, equivalence is root-pointer equality, negation
-///   and subtraction never fragment. Complete — no budget-shaped
+/// * `Dd` (the default) — hash-consed decision diagrams (`mapro-dd`): one
+///   canonical MTBDD per pipeline, equivalence is root-pointer equality,
+///   negation and subtraction never fragment. Complete — no budget-shaped
 ///   "unknown" answers.
-/// * `Auto` — cube first (it wins at small widths), retrying with the DD
-///   backend when a cube budget blows, and going straight to DDs when the
-///   joint match space is wide enough that cube lists predictably explode
-///   (see `check::AUTO_DD_BITS`).
+/// * `Cube` — flat disjoint ternary cube lists (the original engine):
+///   subtraction splits cubes recursively and cross-intersection is
+///   quadratic in atoms. Kept as an explicit choice for the experiments
+///   that measure it and as the megaflow cache's key algebra.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoverBackend {
     /// Flat ternary-cube atom lists.
     Cube,
     /// Hash-consed BDD/MTBDD covers.
-    Dd,
-    /// Cube first, DD when cubes blow up or the space is wide.
     #[default]
-    Auto,
+    Dd,
 }
 
 impl CoverBackend {
-    /// Parse a CLI argument (`cube`, `dd`, `auto`).
+    /// Parse a CLI argument (`cube`, `dd`).
     pub fn parse(s: &str) -> Option<CoverBackend> {
         match s {
             "cube" => Some(CoverBackend::Cube),
             "dd" => Some(CoverBackend::Dd),
-            "auto" => Some(CoverBackend::Auto),
             _ => None,
         }
     }
 }
 
 /// Budgets for the symbolic compiler. Exhaustion is reported as
-/// [`Unsupported`], which `Auto` mode turns into an enumerative fallback —
-/// never a wrong answer.
+/// [`Unsupported`], which [`mapro_core::EquivMode::Auto`] turns into an
+/// enumerative fallback — never a wrong answer.
 #[derive(Debug, Clone)]
 pub struct SymConfig {
     /// Maximum number of atoms one compilation may produce.
     pub max_atoms: usize,
     /// Maximum number of live cubes while partitioning one table.
     pub partition_budget: usize,
-    /// Which cover representation to use (default [`CoverBackend::Auto`]).
+    /// Which cover representation to use (default [`CoverBackend::Dd`]).
     pub backend: CoverBackend,
     /// Maximum interior nodes in one DD manager (DD backend only).
     pub max_nodes: usize,

@@ -61,6 +61,17 @@ impl Tern {
             mask: self.mask | other.mask,
         })
     }
+
+    /// The smallest ternary predicate matching every value either
+    /// matches: the care bits both share and agree on.
+    #[inline]
+    pub fn hull(self, other: Tern) -> Tern {
+        let mask = self.mask & other.mask & !(self.bits ^ other.bits);
+        Tern {
+            bits: self.bits & mask,
+            mask,
+        }
+    }
 }
 
 /// A conjunction of per-column ternary predicates — the packet set of one
@@ -94,6 +105,18 @@ impl Cube {
             .iter()
             .zip(&other.0)
             .all(|(a, b)| a.mask & b.mask == a.mask && (a.bits ^ b.bits) & a.mask == 0)
+    }
+
+    /// The smallest cube containing both (column-wise [`Tern::hull`]).
+    pub fn hull(&self, other: &Cube) -> Cube {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        Cube(
+            self.0
+                .iter()
+                .zip(&other.0)
+                .map(|(&a, &b)| a.hull(b))
+                .collect(),
+        )
     }
 
     /// Do the two cubes share a packet? (Per-column ternary overlap.)

@@ -31,8 +31,8 @@
 use crate::compile::{
     apply_actions, delivered, visit_limit, Behavior, FieldSpace, SymConfig, SymCore, Unsupported,
 };
-use crate::cube::Cube;
-use mapro_core::{AttrId, MissPolicy, Pipeline};
+use crate::cube::{Cube, Tern};
+use mapro_core::{AttrId, MissPolicy, Pipeline, Value};
 use mapro_dd::{Mgr, NodeRef, Overflow};
 use std::collections::HashMap;
 
@@ -176,7 +176,7 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
     ) -> Result<NodeRef, Unsupported> {
-        let (root, _leaves) = self.compile_from(p, space, cfg, NodeRef::TRUE)?;
+        let (root, _leaves) = self.compile_from(p, space, cfg, NodeRef::TRUE, None)?;
         debug_assert!(
             self.layout.total == 0 || root != NodeRef::term(0) || p.tables.is_empty(),
             "leaf regions must tile the universe"
@@ -184,27 +184,30 @@ impl DdEngine {
         Ok(root)
     }
 
-    /// Compile `p` restricted to the input region `state0` (a BDD over this
-    /// engine's layout): the returned root maps every packet in `state0` to
-    /// its interned behavior terminal and everything outside it to the
-    /// placeholder terminal 0. Also returns the number of leaf regions
-    /// emitted — the honest work measure for the delta.
+    /// Compile `p` restricted to the input region `within`: the returned
+    /// root maps every packet in `within` to its interned behavior terminal
+    /// and everything outside it to the placeholder terminal 0. Also
+    /// returns the number of leaf regions emitted — the honest work
+    /// measure for the delta.
     ///
     /// This is the DD half of the [`crate::incremental`] delta recompile:
     /// after a flow-mod dirties a region `D`, `ite(D, compile_within(new,
     /// D), old_root)` is the new cover, because the two agree everywhere
-    /// outside `D` by the invalidation-cube contract.
+    /// outside `D` by the invalidation-cube contract. Rows whose ternary
+    /// form misses `D`'s bounding cube on a column the packet still
+    /// carries unwritten cannot meet `D` and are skipped without building
+    /// their predicate; the root is the same as without the skip.
     ///
     /// # Errors
     /// Same causes as [`DdEngine::compile`].
-    pub fn compile_within(
+    pub(crate) fn compile_within(
         &mut self,
         p: &Pipeline,
         space: &FieldSpace,
         cfg: &SymConfig,
-        within: NodeRef,
+        within: &Region,
     ) -> Result<(NodeRef, usize), Unsupported> {
-        self.compile_from(p, space, cfg, within)
+        self.compile_from(p, space, cfg, within.bdd, within.hull.as_ref())
     }
 
     fn compile_from(
@@ -213,29 +216,16 @@ impl DdEngine {
         space: &FieldSpace,
         cfg: &SymConfig,
         state0: NodeRef,
+        hull: Option<&Cube>,
     ) -> Result<(NodeRef, usize), Unsupported> {
         let _t = mapro_obs::time!("dd.compile_ns");
         let mut span =
             mapro_obs::trace::span_kv("dd.compile", vec![("tables", p.tables.len().into())]);
-        let mut rows = Vec::with_capacity(p.tables.len());
-        for t in &p.tables {
-            let widths: Vec<u32> = t
-                .match_attrs
-                .iter()
-                .map(|&a| p.catalog.attr(a).width)
-                .collect();
-            rows.push(
-                t.entries
-                    .iter()
-                    .map(|e| Cube::of(&e.matches, &widths))
-                    .collect::<Vec<_>>(),
-            );
-        }
         let mut c = DdCompiler {
             p,
             space,
             index: p.name_index(),
-            rows,
+            hull,
             limit: visit_limit(p),
             max_atoms: cfg.max_atoms,
             leaves: 0,
@@ -261,6 +251,28 @@ impl DdEngine {
         Ok((root, c.leaves))
     }
 
+    /// The union of `cubes` (over this engine's space) as a region to
+    /// [`DdEngine::compile_within`].
+    ///
+    /// # Errors
+    /// [`Overflow`] when the arena limit is hit.
+    pub(crate) fn region(&mut self, cubes: &[Cube]) -> Result<Region, Overflow> {
+        let mut lits: Vec<(u32, bool)> = Vec::new();
+        let mut bdd = NodeRef::FALSE;
+        for c in cubes {
+            lits.clear();
+            for (col, t) in c.0.iter().enumerate() {
+                self.layout.tern_lits(col, t.bits, t.mask, &mut lits);
+            }
+            let piece = self.mgr.cube(&lits)?;
+            bdd = self.mgr.or(bdd, piece)?;
+        }
+        let hull = cubes
+            .split_first()
+            .map(|(first, rest)| rest.iter().fold(first.clone(), |h, c| h.hull(c)));
+        Ok(Region { bdd, hull })
+    }
+
     /// The behavior interned under terminal label `id` (1-based).
     ///
     /// # Panics
@@ -271,6 +283,13 @@ impl DdEngine {
     }
 }
 
+/// A region of the input space as a BDD over a [`DdEngine`]'s layout,
+/// with the bounding cube of the pieces it was built from.
+pub(crate) struct Region {
+    pub(crate) bdd: NodeRef,
+    hull: Option<Cube>,
+}
+
 /// The DD symbolic executor. Single-threaded depth-first — determinism is
 /// structural (the manager is `&mut` everywhere), and the expensive work
 /// (apply ops) is memoized rather than parallelized.
@@ -278,9 +297,8 @@ struct DdCompiler<'a> {
     p: &'a Pipeline,
     space: &'a FieldSpace,
     index: HashMap<&'a str, usize>,
-    /// Per table, per entry: the row's ternary form over the table's own
-    /// match columns (`None` = unsatisfiable symbolic cell).
-    rows: Vec<Vec<Option<Cube>>>,
+    /// A cube over the space containing the compiled region, if known.
+    hull: Option<&'a Cube>,
     limit: usize,
     max_atoms: usize,
     leaves: usize,
@@ -296,21 +314,26 @@ impl<'a> DdCompiler<'a> {
             .ok_or_else(|| Unsupported::UnknownTable(name.to_owned()))
     }
 
-    /// The predicate "entry row `ec` matches" under the concrete values of
-    /// `core`, over the input-space bits. `None` when a concretely-valued
-    /// column disagrees with the row — the entry matches nothing in this
-    /// state.
+    /// The predicate "entry row `row` matches" under the concrete values
+    /// of `core`, over the input-space bits. `None` when a cell is
+    /// unsatisfiable (symbolic), a concretely-valued column disagrees with
+    /// the row, or an unwritten column misses the hull — the entry matches
+    /// nothing in this state. Cells are read in ternary form as they are
+    /// visited, so a compile pays nothing per row it never reaches.
     fn entry_bdd(
         &mut self,
         mgr: &mut Mgr,
         layout: &BitLayout,
         core: &SymCore,
         attrs: &[AttrId],
-        ec: &Cube,
+        row: &[Value],
     ) -> Result<Option<NodeRef>, Overflow> {
         self.lits.clear();
-        for (col, &attr) in attrs.iter().enumerate() {
-            let t = ec.0[col];
+        for (&attr, cell) in attrs.iter().zip(row) {
+            let Some((bits, mask)) = cell.as_ternary(self.p.catalog.attr(attr).width) else {
+                return Ok(None);
+            };
+            let t = Tern { bits, mask };
             match core.vals[attr.index()] {
                 Some(v) => {
                     if !t.matches(v) {
@@ -322,9 +345,10 @@ impl<'a> DdCompiler<'a> {
                         .space
                         .coord_of(attr)
                         .expect("unwritten match attr is a space coordinate");
-                    let mut col_lits = Vec::new();
-                    layout.tern_lits(k, t.bits, t.mask, &mut col_lits);
-                    self.lits.extend(col_lits);
+                    if self.hull.is_some_and(|h| t.intersect(h.0[k]).is_none()) {
+                        return Ok(None);
+                    }
+                    layout.tern_lits(k, t.bits, t.mask, &mut self.lits);
                 }
             }
         }
@@ -361,21 +385,24 @@ impl<'a> DdCompiler<'a> {
     ) -> Result<(), Unsupported> {
         let t = &self.p.tables[ti];
         // Priority resolution: entry `ei` wins on `state ∧ eᵢ ∖ (⋃ e₀..ᵢ₋₁)`.
+        // The prefix is accumulated inside `state` (`acc ⊆ state`): the
+        // regions are the same, the diagrams stay as small as the state,
+        // and once it covers the state no later row can win anything.
         let mut acc = NodeRef::FALSE;
-        let nrows = self.rows[ti].len();
-        for ei in 0..nrows {
-            let Some(ec) = self.rows[ti][ei].clone() else {
-                continue; // unsatisfiable symbolic cell: matches nothing
-            };
-            let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, &ec)? else {
-                continue; // concrete column mismatch: matches nothing here
+        for (ei, entry) in t.entries.iter().enumerate() {
+            if acc == state {
+                break;
+            }
+            let Some(e) = self.entry_bdd(mgr, layout, &core, &t.match_attrs, &entry.matches)?
+            else {
+                continue; // matches nothing in this state
             };
             let hit = mgr.and(state, e)?;
             let region = mgr.diff(hit, acc)?;
-            acc = mgr.or(acc, e)?;
             if region == NodeRef::FALSE {
                 continue;
             }
+            acc = mgr.or(acc, region)?;
             let mut c2 = core.clone();
             c2.steps += 1;
             if c2.steps > self.limit {
@@ -678,6 +705,98 @@ mod tests {
         };
         let mut eng = DdEngine::new(&space, &cfg);
         assert_eq!(eng.compile(&p, &space, &cfg), Err(Unsupported::NodeBudget));
+    }
+
+    /// A random ternary cell over `w` bits (a third of them wildcards).
+    fn rand_cell(rng: &mut rand::rngs::SmallRng, w: u32) -> Value {
+        use rand::Rng;
+        let full = (1u64 << w) - 1;
+        if rng.gen_range(0..3) == 0 {
+            return Value::Any;
+        }
+        let mask = rng.gen_range(0..=full);
+        Value::Ternary {
+            bits: rng.gen_range(0..=full) & mask,
+            mask,
+        }
+    }
+
+    /// Two tables: `t0` matches `f`, `g` and may write `g` and `m`; `t1`
+    /// matches `m`, `g`, `f` — so some of its columns are written and
+    /// some still carry the input.
+    fn random_two_table_pipeline(rng: &mut rand::rngs::SmallRng) -> Pipeline {
+        use rand::Rng;
+        let mut c = Catalog::new();
+        let f = c.field("f", 6);
+        let g = c.field("g", 6);
+        let m = c.meta("m", 2);
+        let set_m = c.action("set_m", ActionSem::SetField(m));
+        let set_g = c.action("set_g", ActionSem::SetField(g));
+        let out = c.action("out", ActionSem::Output);
+        let mut t0 = Table::new("t0", vec![f, g], vec![set_m, set_g]);
+        for _ in 0..12 {
+            let set = if rng.gen_bool(0.3) {
+                Value::Int(rng.gen_range(0..64))
+            } else {
+                Value::Any
+            };
+            t0.row(
+                vec![rand_cell(rng, 6), rand_cell(rng, 6)],
+                vec![Value::Int(rng.gen_range(0..4)), set],
+            );
+        }
+        t0.next = Some("t1".into());
+        t0.miss = MissPolicy::Fall("t1".into());
+        let mut t1 = Table::new("t1", vec![m, g, f], vec![out]);
+        for i in 0..12 {
+            t1.row(
+                vec![rand_cell(rng, 2), rand_cell(rng, 6), rand_cell(rng, 6)],
+                vec![Value::sym(format!("p{}", i % 5))],
+            );
+        }
+        Pipeline::new(c, vec![t0, t1], "t0")
+    }
+
+    #[test]
+    fn hull_skip_does_not_change_the_restricted_root() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x4d41_5052);
+        for _ in 0..40 {
+            let old = random_two_table_pipeline(&mut rng);
+            let mut new = old.clone();
+            let ti: usize = rng.gen_range(0..2);
+            let ei = rng.gen_range(0..new.tables[ti].entries.len());
+            let widths: Vec<u32> = new.tables[ti]
+                .match_attrs
+                .iter()
+                .map(|&a| new.catalog.attr(a).width)
+                .collect();
+            let before = new.tables[ti].entries[ei].matches.clone();
+            let after: Vec<Value> = widths.iter().map(|&w| rand_cell(&mut rng, w)).collect();
+            new.tables[ti].entries[ei].matches = after.clone();
+            let name = new.tables[ti].name.clone();
+            let space = FieldSpace::from_pipelines(&[&old, &new]);
+            let rows = [(name.clone(), before), (name, after)];
+            let dirty = crate::incremental::dirty_region(&old, &space, &rows).unwrap();
+            if dirty.is_empty() {
+                continue;
+            }
+            let cfg = cfg();
+            let mut eng = DdEngine::new(&space, &cfg);
+            let old_root = eng.compile(&old, &space, &cfg).unwrap();
+            let d = eng.region(&dirty).unwrap();
+            assert!(d.hull.is_some());
+            let with = eng.compile_within(&new, &space, &cfg, &d).unwrap();
+            let no_hull = Region {
+                bdd: d.bdd,
+                hull: None,
+            };
+            let without = eng.compile_within(&new, &space, &cfg, &no_hull).unwrap();
+            assert_eq!(with, without, "the hull changed the restricted compile");
+            // And the splice is the fresh compile of the new pipeline.
+            let spliced = eng.mgr.ite(d.bdd, with.0, old_root).unwrap();
+            assert_eq!(spliced, eng.compile(&new, &space, &cfg).unwrap());
+        }
     }
 
     #[test]

@@ -39,10 +39,13 @@
 //! so root equality stays the exact verdict for the life of the session.
 //! An update builds `D` as a BDD, compiles the new pipeline restricted to
 //! `D`, and splices with `root ← ite(D, delta, root)` — the two diagrams
-//! agree outside `D` by the same invalidation contract. Counterexamples
-//! come from `first_diff`, whose 0-preferring path order is a function of
-//! the diagrams alone, so a session witness is byte-identical to a fresh
-//! check's.
+//! agree outside `D` by the same invalidation contract. The restricted
+//! compile stays row-local: rows missing `D`'s bounding cube are skipped
+//! before their predicate is built, and the priority prefix never grows
+//! beyond the region being expanded.
+//! Counterexamples come from `first_diff`, whose 0-preferring path order
+//! is a function of the diagrams alone, so a session witness is
+//! byte-identical to a fresh check's.
 //!
 //! ## Fallbacks
 //!
@@ -55,7 +58,7 @@
 //! session state — counted in `sym.incr.fallbacks` and costed honestly in
 //! the returned token's `atoms_rechecked`.
 
-use crate::check::{catalog_guard, concretize, AUTO_DD_BITS};
+use crate::check::{catalog_guard, concretize};
 use crate::compile::{
     compile, compile_within, compile_within_parts, invalidation_cube, pipeline_parts, Atom,
     BehaviorCover, CoverBackend, FieldSpace, SymConfig, TablePartition, Unsupported,
@@ -551,12 +554,6 @@ pub struct IncrementalChecker {
     right: Pipeline,
     space: FieldSpace,
     cfg: SymConfig,
-    /// The resolved backend (never `Auto`; `Auto` resolves at build time
-    /// and may flip Cube → Dd when a cube budget blows).
-    backend: CoverBackend,
-    /// Whether budget blowups may flip the backend (i.e. the caller asked
-    /// for `Auto`).
-    auto: bool,
     covers: Covers,
     /// Updates processed (including fallbacks); part of every digest.
     checks: u64,
@@ -570,8 +567,8 @@ pub struct IncrementalChecker {
 
 impl IncrementalChecker {
     /// Fallback threshold: an update whose dirty region intersects more
-    /// retained atoms (both sides) than this — or arrives as more
-    /// disjoint pieces — is cheaper to re-prove from scratch than to
+    /// retained atoms of the updated side(s) than this — or arrives as
+    /// more disjoint pieces — is cheaper to re-prove from scratch than to
     /// subtract piecewise.
     pub const DELTA_BUDGET: usize = 4096;
 
@@ -582,8 +579,8 @@ impl IncrementalChecker {
     ///
     /// # Errors
     /// [`EquivError::IncompatibleCatalogs`] when the pipelines disagree on
-    /// an attribute, [`EquivError::SymbolicUnsupported`] when the resolved
-    /// backend cannot express them.
+    /// an attribute, [`EquivError::SymbolicUnsupported`] when the
+    /// configured backend cannot express them.
     pub fn new(left: &Pipeline, right: &Pipeline, cfg: &SymConfig) -> Result<Self, EquivError> {
         mapro_obs::counter!("sym.incr.checks");
         mapro_obs::counter!("sym.incr.atoms_rechecked");
@@ -591,20 +588,11 @@ impl IncrementalChecker {
         mapro_obs::histogram!("sym.incr.proof_ns");
         let space = FieldSpace::from_pipelines(&[left, right]);
         catalog_guard(left, right, &space)?;
-        let bits: u32 = space.coords.iter().map(|&(_, w)| w).sum();
-        let (backend, auto) = match cfg.backend {
-            CoverBackend::Cube => (CoverBackend::Cube, false),
-            CoverBackend::Dd => (CoverBackend::Dd, false),
-            CoverBackend::Auto if bits > AUTO_DD_BITS => (CoverBackend::Dd, false),
-            CoverBackend::Auto => (CoverBackend::Cube, true),
-        };
         let mut s = IncrementalChecker {
             left: left.clone(),
             right: right.clone(),
             space: space.clone(),
             cfg: cfg.clone(),
-            backend,
-            auto,
             covers: Covers::Cube {
                 left: SlabCover::build(BehaviorCover {
                     space: space.clone(),
@@ -820,14 +808,6 @@ impl IncrementalChecker {
     ) -> Result<usize, Unsupported> {
         let upd_left = sync_l != SideSync::Unchanged;
         let upd_right = sync_r != SideSync::Unchanged;
-        // Nothing observable changed on either side: the retained proof
-        // (including any disagreements inside `dirty`) is still exact.
-        if dirty.is_empty() || (!upd_left && !upd_right) {
-            return Ok(0);
-        }
-        if dirty.len() > Self::DELTA_BUDGET {
-            return Err(Unsupported::AtomBudget);
-        }
         let IncrementalChecker {
             left,
             right,
@@ -836,6 +816,31 @@ impl IncrementalChecker {
             covers,
             ..
         } = self;
+        // Bring the cube session's partitions in step with the synced
+        // pipelines first — even for a behavior-invisible update, whose
+        // inserted or deleted rows still shift the entry indices they are
+        // keyed by. Action-only updates keep them.
+        if let Covers::Cube {
+            parts_left,
+            parts_right,
+            ..
+        } = covers
+        {
+            if matches!(sync_l, SideSync::MatchChanged | SideSync::Structural) {
+                *parts_left = pipeline_parts(left, cfg)?;
+            }
+            if matches!(sync_r, SideSync::MatchChanged | SideSync::Structural) {
+                *parts_right = pipeline_parts(right, cfg)?;
+            }
+        }
+        // Nothing observable changed on either side: the retained proof
+        // (including any disagreements inside `dirty`) is still exact.
+        if dirty.is_empty() || (!upd_left && !upd_right) {
+            return Ok(0);
+        }
+        if dirty.len() > Self::DELTA_BUDGET {
+            return Err(Unsupported::AtomBudget);
+        }
         match covers {
             Covers::Cube {
                 left: lc,
@@ -844,21 +849,20 @@ impl IncrementalChecker {
                 parts_right,
                 disagreements,
             } => {
+                // Only an updated side is re-tiled; the unchanged side's
+                // atoms are reached through its trie by `slab_meets`, so
+                // they cost nothing here and count nothing against the
+                // budget.
                 let mut touched_l: Vec<u32> = Vec::new();
                 let mut touched_r: Vec<u32> = Vec::new();
-                lc.touched_into(dirty, &mut touched_l);
-                rc.touched_into(dirty, &mut touched_r);
+                if upd_left {
+                    lc.touched_into(dirty, &mut touched_l);
+                }
+                if upd_right {
+                    rc.touched_into(dirty, &mut touched_r);
+                }
                 if touched_l.len() + touched_r.len() > Self::DELTA_BUDGET {
                     return Err(Unsupported::AtomBudget);
-                }
-                // Action-only updates keep the match partitions; a match
-                // edit re-derives them (digest-cached for untouched
-                // tables).
-                if matches!(sync_l, SideSync::MatchChanged | SideSync::Structural) {
-                    *parts_left = pipeline_parts(left, cfg)?;
-                }
-                if matches!(sync_r, SideSync::MatchChanged | SideSync::Structural) {
-                    *parts_right = pipeline_parts(right, cfg)?;
                 }
                 let fresh_l = if upd_left {
                     refresh_slab(lc, left, space, cfg, parts_left, dirty, &touched_l)?
@@ -913,27 +917,17 @@ impl IncrementalChecker {
                 left: lroot,
                 right: rroot,
             } => {
-                // The dirty region as a BDD: one cube per disjoint piece.
-                let mut lits: Vec<(u32, bool)> = Vec::new();
-                let mut d = NodeRef::FALSE;
-                for c in dirty {
-                    lits.clear();
-                    for (col, t) in c.0.iter().enumerate() {
-                        eng.layout.tern_lits(col, t.bits, t.mask, &mut lits);
-                    }
-                    let piece = eng.mgr.cube(&lits)?;
-                    d = eng.mgr.or(d, piece)?;
-                }
+                let d = eng.region(dirty)?;
                 let _sp = mapro_obs::trace::span("sym.incr.recheck");
                 let mut work = 0usize;
                 if upd_left {
-                    let (delta, leaves) = eng.compile_within(left, space, cfg, d)?;
-                    *lroot = eng.mgr.ite(d, delta, *lroot)?;
+                    let (delta, leaves) = eng.compile_within(left, space, cfg, &d)?;
+                    *lroot = eng.mgr.ite(d.bdd, delta, *lroot)?;
                     work += leaves;
                 }
                 if upd_right {
-                    let (delta, leaves) = eng.compile_within(right, space, cfg, d)?;
-                    *rroot = eng.mgr.ite(d, delta, *rroot)?;
+                    let (delta, leaves) = eng.compile_within(right, space, cfg, &d)?;
+                    *rroot = eng.mgr.ite(d.bdd, delta, *rroot)?;
                     work += leaves;
                 }
                 Ok(work)
@@ -959,71 +953,51 @@ impl IncrementalChecker {
         self.space = FieldSpace::from_pipelines(&[&self.left, &self.right]);
         catalog_guard(&self.left, &self.right, &self.space)?;
         let _sp = mapro_obs::trace::span("sym.incr.recheck");
-        let work = loop {
-            match self.backend {
-                CoverBackend::Dd => {
-                    let mut eng = DdEngine::new(&self.space, &self.cfg);
-                    let l = eng
-                        .compile(&self.left, &self.space, &self.cfg)
-                        .map_err(unsup)?;
-                    let r = eng
-                        .compile(&self.right, &self.space, &self.cfg)
-                        .map_err(unsup)?;
-                    let work = eng.mgr.node_count(&[l, r]);
-                    self.covers = Covers::Dd {
-                        eng,
-                        left: l,
-                        right: r,
-                    };
-                    break work;
-                }
-                _ => {
-                    // Identical pipelines compile (deterministically) to
-                    // identical covers, whose cross meets are exactly the
-                    // self-meets — equal behaviors, so the disagreement
-                    // set is empty by construction. One compile and no
-                    // join instead of the quadratic scan; this is the
-                    // common session-start state (intent == committed).
-                    let both = if self.left == self.right {
-                        compile(&self.left, &self.space, &self.cfg).map(|lc| {
-                            let rc = lc.clone();
-                            (lc, rc, Vec::new())
-                        })
-                    } else {
-                        compile(&self.left, &self.space, &self.cfg).and_then(|lc| {
-                            compile(&self.right, &self.space, &self.cfg).map(|rc| {
-                                let d = parallel_disagreements(&lc, &rc);
-                                (lc, rc, d)
-                            })
-                        })
-                    };
-                    match both {
-                        Ok((lc, rc, disagreements)) => {
-                            let parts_left =
-                                pipeline_parts(&self.left, &self.cfg).map_err(unsup)?;
-                            let parts_right =
-                                pipeline_parts(&self.right, &self.cfg).map_err(unsup)?;
-                            warm_parts(&self.left, &parts_left);
-                            warm_parts(&self.right, &parts_right);
-                            let work = lc.atoms.len() + rc.atoms.len();
-                            self.covers = Covers::Cube {
-                                left: SlabCover::build(lc),
-                                right: SlabCover::build(rc),
-                                parts_left,
-                                parts_right,
-                                disagreements,
-                            };
-                            break work;
-                        }
-                        Err(u @ (Unsupported::AtomBudget | Unsupported::PartitionBudget))
-                            if self.auto =>
-                        {
-                            let _ = u;
-                            self.backend = CoverBackend::Dd;
-                        }
-                        Err(u) => return Err(unsup(u)),
-                    }
-                }
+        let work = match self.cfg.backend {
+            CoverBackend::Dd => {
+                let mut eng = DdEngine::new(&self.space, &self.cfg);
+                let l = eng
+                    .compile(&self.left, &self.space, &self.cfg)
+                    .map_err(unsup)?;
+                let r = eng
+                    .compile(&self.right, &self.space, &self.cfg)
+                    .map_err(unsup)?;
+                let work = eng.mgr.node_count(&[l, r]);
+                self.covers = Covers::Dd {
+                    eng,
+                    left: l,
+                    right: r,
+                };
+                work
+            }
+            CoverBackend::Cube => {
+                // Identical pipelines compile (deterministically) to
+                // identical covers, whose cross meets are exactly the
+                // self-meets — equal behaviors, so the disagreement set is
+                // empty by construction. One compile and no join instead
+                // of the quadratic scan; this is the common session-start
+                // state (intent == committed).
+                let lc = compile(&self.left, &self.space, &self.cfg).map_err(unsup)?;
+                let (rc, disagreements) = if self.left == self.right {
+                    (lc.clone(), Vec::new())
+                } else {
+                    let rc = compile(&self.right, &self.space, &self.cfg).map_err(unsup)?;
+                    let d = parallel_disagreements(&lc, &rc);
+                    (rc, d)
+                };
+                let parts_left = pipeline_parts(&self.left, &self.cfg).map_err(unsup)?;
+                let parts_right = pipeline_parts(&self.right, &self.cfg).map_err(unsup)?;
+                warm_parts(&self.left, &parts_left);
+                warm_parts(&self.right, &parts_right);
+                let work = lc.atoms.len() + rc.atoms.len();
+                self.covers = Covers::Cube {
+                    left: SlabCover::build(lc),
+                    right: SlabCover::build(rc),
+                    parts_left,
+                    parts_right,
+                    disagreements,
+                };
+                work
             }
         };
         self.stale = false;
@@ -1156,6 +1130,41 @@ mod tests {
         let t = s.update_both(&l, &r, &[], 0, 1).unwrap();
         assert_eq!(t.atoms_rechecked, 0);
         assert_eq!(t.verdict, Verdict::Equivalent);
+    }
+
+    #[test]
+    fn unchanged_side_atoms_do_not_count_against_the_budget() {
+        // Left: scattered exact rows in front of a catch-all, whose region
+        // fragments into more atoms than the budget. Right: a single
+        // catch-all row. A right-only edit of that row dirties the whole
+        // space, which touches every left atom — but only the right cover
+        // is re-tiled.
+        let mk = |rows: u64, port: &str| {
+            let mut c = Catalog::new();
+            let f = c.field("f", 32);
+            let out = c.action("out", ActionSem::Output);
+            let mut t = Table::new("t", vec![f], vec![out]);
+            for v in 0..rows {
+                let key = v.wrapping_mul(0x9e37_79b9) & 0xffff_ffff;
+                t.row(vec![Value::Int(key)], vec![Value::sym("q")]);
+            }
+            t.row(vec![Value::Any], vec![Value::sym(port)]);
+            Pipeline::single(c, t)
+        };
+        let l = mk(400, "q");
+        let mut r = mk(0, "p");
+        let space = FieldSpace::from_pipelines(&[&l, &r]);
+        let left_atoms = compile(&l, &space, &cfg(CoverBackend::Cube)).unwrap();
+        assert!(left_atoms.atoms.len() > IncrementalChecker::DELTA_BUDGET);
+        let mut s = IncrementalChecker::new(&l, &r, &cfg(CoverBackend::Cube)).unwrap();
+        assert_eq!(s.verdict(), Verdict::NotEquivalent);
+        r.tables[0].entries[0].actions[0] = Value::sym("q");
+        let row = ("t".to_string(), vec![Value::Any]);
+        let t = s.update(Side::Right, &r, &[row], 0, 1).unwrap();
+        assert!(!s.last_dirty().is_empty(), "delta-processed, not rebuilt");
+        assert_eq!(t.atoms_rechecked, 1, "one fresh right atom");
+        assert_eq!(t.verdict, Verdict::Equivalent);
+        assert!(fresh_verdict(&l, &r, CoverBackend::Cube));
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn main() {
         print!("{}", display::render_pipeline(&normalized));
 
         // 4. Machine-check the equivalence. The prelude front door is the
-        //    symbolic engine: disjoint ternary atoms instead of packet
+        //    symbolic engine: decision diagrams instead of packet
         //    enumeration, with the method reported alongside the verdict.
         match check_equivalent(&gwlb.universal, &normalized, &EquivConfig::default()).unwrap() {
             EquivOutcome::Equivalent {
@@ -67,7 +67,8 @@ fn main() {
                 exhaustive,
                 method,
             } => println!(
-                "equivalent to the universal table ({packets_checked} atoms/packets, exhaustive: {exhaustive}, method: {method})"
+                "equivalent to the universal table ({packets_checked} {}, exhaustive: {exhaustive}, method: {method})",
+                method.work_unit()
             ),
             EquivOutcome::Counterexample(cx) => {
                 panic!("BUG: representations differ on {:?}", cx.fields)
